@@ -123,10 +123,13 @@ for preset in "${presets[@]}"; do
       build/bench/BENCH_restart.json
     # table2_runtimes exits non-zero if the HybridScheduler section misses
     # its budgets (stealing recovers < 70% of the straggler's idle time, or
-    # batched dispatch cuts vgpu enqueues by < 4x); the section's numbers
-    # land in BENCH_sched.json.
+    # batched dispatch cuts vgpu enqueues by < 4x). The section's numbers
+    # land in build/bench/, so a gate run never overwrites the committed
+    # BENCH_sched.json (refresh it deliberately with
+    # ./build/bench/table2_runtimes --json-out=BENCH_sched.json).
     echo "==> [release] table2_runtimes scheduler budgets (BENCH_sched.json)"
-    ./build/bench/table2_runtimes >/dev/null
+    ./build/bench/table2_runtimes --json-out=build/bench/BENCH_sched.json \
+      >/dev/null
     # Benchmark-trajectory gate for the SIMD codelets: regenerate the FFT
     # and kernel micro-benchmark snapshots and diff them against the
     # committed baselines. bench_fft itself enforces the tentpole >=1.3x

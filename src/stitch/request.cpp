@@ -14,8 +14,8 @@
 #include "common/simd.hpp"
 #include "common/stopwatch.hpp"
 #include "fault/plan.hpp"
-#include "stitch/impl.hpp"
 #include "stitch/ledger.hpp"
+#include "stitch/scheduler.hpp"
 #include "stitch/shared_cache.hpp"
 
 namespace hs::stitch {
@@ -36,23 +36,6 @@ bool uses_worker_threads(Backend backend) {
 bool is_pipelined(Backend backend) {
   return backend == Backend::kPipelinedCpu ||
          backend == Backend::kPipelinedGpu;
-}
-
-/// Mirrors impl_pipelined_gpu's partition: contiguous row bands, one per
-/// effective GPU, a halo row prepended to every band but the first.
-std::vector<img::GridLayout> gpu_bands(const img::GridLayout& layout,
-                                       std::size_t gpu_count) {
-  const std::size_t gpus =
-      std::max<std::size_t>(1, std::min(gpu_count, layout.rows));
-  std::vector<img::GridLayout> bands;
-  bands.reserve(gpus);
-  for (std::size_t g = 0; g < gpus; ++g) {
-    const std::size_t row_begin = g * layout.rows / gpus;
-    const std::size_t row_end = (g + 1) * layout.rows / gpus;
-    bands.push_back(
-        img::GridLayout{row_end - row_begin + (g > 0 ? 1 : 0), layout.cols});
-  }
-  return bands;
 }
 
 }  // namespace
@@ -133,7 +116,9 @@ void StitchRequest::validate() const {
                "): peer-to-peer halo sharing needs a neighbouring device");
     }
     if (o.pool_buffers > 0) {
-      for (const img::GridLayout& band : gpu_bands(layout, o.gpu_count)) {
+      for (const RowBand& rows : gpu_row_bands(
+               layout, ResourceSet::for_backend(backend, o))) {
+        const img::GridLayout band = rows.layout(layout.cols);
         const std::size_t band_ws = traversal_working_set(band, o.traversal);
         if (o.pool_buffers <= band_ws) {
           fail("pool_buffers",
@@ -256,10 +241,10 @@ std::size_t pool_bytes_for(const StitchRequest& request, Backend backend) {
     }
     case Backend::kPipelinedGpu: {
       std::size_t total = 0;
-      for (const img::GridLayout& band :
-           gpu_bands(layout, options.gpu_count)) {
-        const std::size_t band_ws =
-            traversal_working_set(band, options.traversal);
+      for (const RowBand& rows :
+           gpu_row_bands(layout, ResourceSet::for_backend(backend, options))) {
+        const std::size_t band_ws = traversal_working_set(
+            rows.layout(layout.cols), options.traversal);
         const std::size_t pool =
             options.pool_buffers > 0 ? options.pool_buffers : band_ws + 4;
         total += (pool + 2) * transform_bytes  // forward pool + NCC pool
@@ -274,21 +259,8 @@ std::size_t pool_bytes_for(const StitchRequest& request, Backend backend) {
 
 StitchResult dispatch(Backend backend, const TileProvider& provider,
                       const StitchOptions& options) {
-  switch (backend) {
-    case Backend::kNaivePairwise:
-      return impl::stitch_naive(provider, options);
-    case Backend::kSimpleCpu:
-      return impl::stitch_simple_cpu(provider, options);
-    case Backend::kMtCpu:
-      return impl::stitch_mt_cpu(provider, options);
-    case Backend::kPipelinedCpu:
-      return impl::stitch_pipelined_cpu(provider, options);
-    case Backend::kSimpleGpu:
-      return impl::stitch_simple_gpu(provider, options);
-    case Backend::kPipelinedGpu:
-      return impl::stitch_pipelined_gpu(provider, options);
-  }
-  throw InvalidArgument("backend: unknown value");
+  return HybridScheduler(ResourceSet::for_backend(backend, options))
+      .run(provider, options);
 }
 
 /// Computed (not merely settled) pairs in a table.

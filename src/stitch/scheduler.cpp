@@ -6,7 +6,7 @@
 //   run_gpu_sync        the synchronous single-stream Simple-GPU shape
 //   run_gpu_async       pipelined GPU shapes, incl. hybrid CPU+GPU bands,
 //                       stolen-pair execution, and batched dispatch
-//   ResourceSet / HybridScheduler / stitch() / impl:: forwarders
+//   ResourceSet / gpu_row_bands / HybridScheduler / stitch()
 #include "stitch/scheduler.hpp"
 
 #include <algorithm>
@@ -18,6 +18,8 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <optional>
+#include <span>
 #include <thread>
 #include <unordered_map>
 #include <unordered_set>
@@ -27,11 +29,9 @@
 #include "common/error.hpp"
 #include "common/stopwatch.hpp"
 #include "common/thread_util.hpp"
-#include "fft/plan_cache.hpp"
 #include "metrics/wellknown.hpp"
 #include "pipeline/pipeline.hpp"
 #include "stitch/ccf.hpp"
-#include "stitch/impl.hpp"
 #include "stitch/ledger.hpp"
 #include "stitch/pciam.hpp"
 #include "stitch/transform_cache.hpp"
@@ -239,6 +239,14 @@ std::vector<PairTask> pairs_in_closure_order(const img::GridLayout& layout,
   return pairs;
 }
 
+/// Records one finished pair: its displacement-table slot, then the ledger
+/// and progress hooks.
+void record_pair(DisplacementTable& table, const StitchOptions& options,
+                 img::TilePos moved, bool is_west, const Translation& t) {
+  (is_west ? table.west_of(moved) : table.north_of(moved)) = t;
+  note_pair_result(options, moved, is_west, t);
+}
+
 // ---------------------------------------------------------------------------
 // CPU-only shapes: naive (no cache), simple-cpu (1 worker, inline),
 // mt-cpu (N workers), pipelined-cpu (N workers + prefetch threads).
@@ -283,7 +291,6 @@ StitchResult run_cpu(const ResourceSet& rs, const TileProvider& provider,
   }
   work.close(lane);
 
-  DisplacementTable* table = &result.table;
   auto process_pair = [&](const PairTask& task, PciamScratch& scratch) {
     HS_METRIC_TIMER(pair_latency);
     throw_if_cancelled(options);
@@ -340,12 +347,7 @@ StitchResult run_cpu(const ResourceSet& rs, const TileProvider& provider,
       t = pciam_full(a, b, fftp, scratch, &counts, options.peak_candidates,
                      options.min_overlap_px);
     }
-    if (task.is_west) {
-      table->west_of(task.moved) = t;
-    } else {
-      table->north_of(task.moved) = t;
-    }
-    note_pair_result(options, task.moved, task.is_west, t);
+    record_pair(result.table, options, task.moved, task.is_west, t);
   };
 
   if (rs.cpu_workers <= 1 && rs.prefetch_threads == 0) {
@@ -437,6 +439,57 @@ StitchResult run_cpu(const ResourceSet& rs, const TileProvider& provider,
 }
 
 // ---------------------------------------------------------------------------
+// Device transforms shared by both GPU shapes.
+// ---------------------------------------------------------------------------
+
+/// One device's PCIAM transforms in the run's FFT mode: complex forward and
+/// inverse, or the half-spectrum padded r2c forward and c2r inverse. Each
+/// call is one device FFT kernel through the vgpu VFft plans, which apply
+/// the device's Fermi/Kepler serialization rule.
+class DeviceFfts {
+ public:
+  DeviceFfts(vgpu::Device& device, std::size_t h, std::size_t w,
+             bool real_fft, fft::Rigor rigor) {
+    if (real_fft) {
+      r2c_.emplace(device, h, w, rigor);
+      c2r_.emplace(device, h, w, rigor);
+    } else {
+      forward_.emplace(device, h, w, fft::Direction::kForward, rigor);
+      inverse_.emplace(device, h, w, fft::Direction::kInverse, rigor);
+    }
+  }
+  // Stream commands hold this object's address.
+  DeviceFfts(const DeviceFfts&) = delete;
+  DeviceFfts& operator=(const DeviceFfts&) = delete;
+
+  /// Staged tile -> spectrum, in place.
+  void forward(fft::Complex* data) const {
+    if (r2c_) {
+      r2c_->execute_inplace_padded(data);
+    } else {
+      forward_->execute_inplace(data);
+    }
+  }
+  /// NCC product -> correlation surface, in place.
+  void inverse(fft::Complex* data) const {
+    if (c2r_) {
+      c2r_->execute_inplace_half(data);
+    } else {
+      inverse_->execute_inplace(data);
+    }
+  }
+  /// Span labels of a command running one transform.
+  const char* forward_label() const { return r2c_ ? "fft2d_r2c" : "fft2d"; }
+  const char* inverse_label() const { return c2r_ ? "ifft2d_c2r" : "ifft2d"; }
+
+ private:
+  std::optional<vgpu::VFftPlan2d> forward_;
+  std::optional<vgpu::VFftPlan2d> inverse_;
+  std::optional<vgpu::VFftPlanR2c2d> r2c_;
+  std::optional<vgpu::VFftPlanC2r2d> c2r_;
+};
+
+// ---------------------------------------------------------------------------
 // Synchronous single-stream GPU shape (the paper's Simple-GPU): one caller
 // thread drives one virtual GPU through a single default stream, waiting
 // after every command — the pathology profiled in the paper's Fig 7.
@@ -466,6 +519,7 @@ StitchResult run_gpu_sync(const ResourceSet& rs, const TileProvider& provider,
   config.cancel = options.cancel;
   vgpu::Device device(config);
   vgpu::Stream stream(device, "default");
+  const DeviceFfts ffts(device, h, w, real_fft, options.rigor);
 
   // Pool sizing (working set + NCC buffer) is enforced up front by
   // StitchRequest::validate().
@@ -512,20 +566,8 @@ StitchResult run_gpu_sync(const ResourceSet& rs, const TileProvider& provider,
     stream.synchronize();
     // FFT in place on the default stream, then wait again.
     fft::Complex* data = state.transform.as<fft::Complex>();
-    if (real_fft) {
-      auto plan = fft::PlanCache::instance().plan_r2c_2d(h, w, options.rigor);
-      stream.enqueue("fft2d_r2c", [plan, data, &device] {
-        std::lock_guard<std::mutex> lock(device.fft_mutex());
-        plan->execute_inplace_padded(data);
-      });
-    } else {
-      auto plan = fft::PlanCache::instance().plan_2d(
-          h, w, fft::Direction::kForward, options.rigor);
-      stream.enqueue("fft2d", [plan, data, &device] {
-        std::lock_guard<std::mutex> lock(device.fft_mutex());
-        plan->execute_inplace(data);
-      });
-    }
+    stream.enqueue(ffts.forward_label(),
+                   [&ffts, data] { ffts.forward(data); });
     stream.synchronize();
     counts.bump(counts.forward_ffts);
     counts.bump(counts.transform_bins, bins);
@@ -545,23 +587,13 @@ StitchResult run_gpu_sync(const ResourceSet& rs, const TileProvider& provider,
     }
   };
 
-  auto plan_inverse =
-      real_fft ? std::shared_ptr<const fft::Plan2d>()
-               : fft::PlanCache::instance().plan_2d(
-                     h, w, fft::Direction::kInverse, options.rigor);
-  auto plan_c2r = real_fft
-                      ? fft::PlanCache::instance().plan_c2r_2d(h, w,
-                                                               options.rigor)
-                      : std::shared_ptr<const fft::PlanC2r2d>();
-
   metrics::Histogram& pair_latency =
       metrics::wellknown::pair_latency_us(rs.label);
-  auto run_pair = [&](img::TilePos ref_pos, img::TilePos mov_pos, bool is_west,
-                      Translation& out) {
+  auto run_pair = [&](const PairTask& task) {
     HS_METRIC_TIMER(pair_latency);
     throw_if_cancelled(options);
-    TileState& ref = ensure_tile(ref_pos);
-    TileState& mov = ensure_tile(mov_pos);
+    TileState& ref = ensure_tile(task.reference);
+    TileState& mov = ensure_tile(task.moved);
 
     vgpu::PooledBuffer ncc = pool.acquire();
     const fft::Complex* fa = ref.transform.as<fft::Complex>();
@@ -574,17 +606,7 @@ StitchResult run_gpu_sync(const ResourceSet& rs, const TileProvider& provider,
     stream.synchronize();
     counts.bump(counts.ncc_multiplies);
 
-    if (real_fft) {
-      stream.enqueue("ifft2d_c2r", [plan_c2r, fc, &device] {
-        std::lock_guard<std::mutex> lock(device.fft_mutex());
-        plan_c2r->execute_inplace_half(fc);
-      });
-    } else {
-      stream.enqueue("ifft2d", [plan_inverse, fc, &device] {
-        std::lock_guard<std::mutex> lock(device.fft_mutex());
-        plan_inverse->execute_inplace(fc);
-      });
-    }
+    stream.enqueue(ffts.inverse_label(), [&ffts, fc] { ffts.inverse(fc); });
     stream.synchronize();
     counts.bump(counts.inverse_ffts);
 
@@ -613,12 +635,12 @@ StitchResult run_gpu_sync(const ResourceSet& rs, const TileProvider& provider,
       if (peak_result.value >= 0.0) indices.push_back(peak_result.index);
     }
     counts.bump(counts.ccf_evaluations, 4 * indices.size());
-    out = disambiguate_peaks(ref.tile, mov.tile, indices, w,
-                             options.min_overlap_px);
+    const Translation t = disambiguate_peaks(ref.tile, mov.tile, indices, w,
+                                             options.min_overlap_px);
 
-    release_tile(ref_pos);
-    release_tile(mov_pos);
-    note_pair_result(options, mov_pos, is_west, out);
+    release_tile(task.reference);
+    release_tile(task.moved);
+    record_pair(result.table, options, task.moved, task.is_west, t);
   };
 
   // The single "gpu0" lane seeded in closure order and claimed one task at a
@@ -638,11 +660,7 @@ StitchResult run_gpu_sync(const ResourceSet& rs, const TileProvider& provider,
     WorkPool::Claim claim = work.claim(lane, 1);
     if (claim.tasks.empty()) break;
     busy.set(1);
-    for (const PairTask& task : claim.tasks) {
-      Translation& out = task.is_west ? result.table.west_of(task.moved)
-                                      : result.table.north_of(task.moved);
-      run_pair(task.reference, task.moved, task.is_west, out);
-    }
+    for (const PairTask& task : claim.tasks) run_pair(task);
     busy.set(0);
   }
 
@@ -656,12 +674,6 @@ StitchResult run_gpu_sync(const ResourceSet& rs, const TileProvider& provider,
 // over the shared work pool, plus the hybrid CPU band, stolen-pair
 // execution, and batched dispatch.
 // ---------------------------------------------------------------------------
-
-struct PairRef {
-  img::TilePos reference;
-  img::TilePos moved;
-  bool is_west = false;
-};
 
 /// Work item flowing through stages 1-3 of one GPU pipeline. A null tile
 /// marks a halo position to be pulled via peer-to-peer copy instead of
@@ -742,18 +754,15 @@ class HaloExchange {
 struct GpuPipeline {
   std::size_t id = 0;
   std::unique_ptr<vgpu::Device> device;
+  std::optional<DeviceFfts> ffts;
   std::unique_ptr<vgpu::Stream> copy_stream;
   std::vector<std::unique_ptr<vgpu::Stream>> fft_streams;
   std::unique_ptr<vgpu::Stream> disp_stream;
   std::unique_ptr<vgpu::BufferPool> pool;      // forward-transform buffers
   std::unique_ptr<vgpu::BufferPool> ncc_pool;  // backward (NCC) buffers
-  std::unique_ptr<vgpu::VFftPlan2d> forward;   // complex mode
-  std::unique_ptr<vgpu::VFftPlan2d> inverse;   // complex mode
-  std::unique_ptr<vgpu::VFftPlanR2c2d> forward_r2c;  // real-FFT mode
-  std::unique_ptr<vgpu::VFftPlanC2r2d> inverse_c2r;  // real-FFT mode
 
   std::vector<img::TilePos> tiles_to_read;     // band (+ halo unless p2p)
-  std::vector<PairRef> owned_pairs;
+  std::vector<PairTask> owned_pairs;
   std::unordered_set<std::size_t> halo_pull;   // p2p: pulled from gpu id-1
   std::unordered_set<std::size_t> halo_export; // p2p: published to gpu id+1
 
@@ -779,7 +788,16 @@ struct GpuPipeline {
     }
   }
 
-  void note_live() {
+  /// Makes a tile resident: its device buffer (upload or peer copy already
+  /// enqueued) and its host pixels.
+  void install(std::size_t index, vgpu::PooledBuffer buffer,
+               std::shared_ptr<const img::ImageU16> tile) {
+    {
+      std::lock_guard<std::mutex> lock(state_mutex);
+      GpuTileState& state = states.at(index);
+      state.buffer = std::move(buffer);
+      state.tile = std::move(tile);
+    }
     const std::size_t now = live.fetch_add(1, std::memory_order_relaxed) + 1;
     std::size_t prev = peak.load(std::memory_order_relaxed);
     while (now > prev &&
@@ -803,6 +821,59 @@ void release_tile(GpuPipeline* gpu, const img::GridLayout& layout,
   }
 }
 
+/// A claimed pair's inputs: both device spectra for the NCC and both host
+/// tiles for the CCF.
+struct ClaimedPair {
+  PairTask task;
+  vgpu::PairDispJob spectra;
+  std::shared_ptr<const img::ImageU16> reference;
+  std::shared_ptr<const img::ImageU16> moved;
+};
+
+/// Gather step of every GPU-resident pair, under the owning GPU's state
+/// lock: the displacement stage's claims and a thief's stolen pair.
+std::vector<ClaimedPair> gather_pairs(GpuPipeline& gpu,
+                                      const img::GridLayout& layout,
+                                      std::span<const PairTask> tasks) {
+  std::vector<ClaimedPair> pairs;
+  pairs.reserve(tasks.size());
+  std::lock_guard<std::mutex> lock(gpu.state_mutex);
+  for (const PairTask& task : tasks) {
+    const GpuTileState& a = gpu.states.at(layout.index_of(task.reference));
+    const GpuTileState& b = gpu.states.at(layout.index_of(task.moved));
+    pairs.push_back(ClaimedPair{
+        task,
+        vgpu::PairDispJob{a.buffer.as<const fft::Complex>(),
+                          b.buffer.as<const fft::Complex>()},
+        a.tile, b.tile});
+  }
+  return pairs;
+}
+
+/// Completion step of a displaced pair, run on the displacement stream once
+/// its peaks are known: hand peaks and host tiles to the CCF stage, then
+/// drop the pair's references on both tiles (recycling device memory).
+void complete_pair(GpuPipeline* gpu, const img::GridLayout& layout,
+                   pipe::BoundedQueue<CcfTask>& q_ccf, ClaimedPair& pair,
+                   const std::vector<vgpu::MaxAbsResult>& peaks) {
+  CcfTask task;
+  task.reference = std::move(pair.reference);
+  task.moved = std::move(pair.moved);
+  task.moved_pos = pair.task.moved;
+  task.is_west = pair.task.is_west;
+  task.peak_indices.reserve(peaks.size());
+  for (const auto& peak : peaks) task.peak_indices.push_back(peak.index);
+  q_ccf.push(std::move(task));
+  release_tile(gpu, layout, pair.task.reference);
+  release_tile(gpu, layout, pair.task.moved);
+}
+
+/// Span label of a command covering `n` tiles or pairs: a group of one keeps
+/// the per-item label, so k = 1 traces exactly the paper's command stream.
+std::string group_label(const char* label, std::size_t n) {
+  return n == 1 ? std::string(label) : std::string(label) + "_batched";
+}
+
 StitchResult run_gpu_async(const ResourceSet& rs, const TileProvider& provider,
                            const StitchOptions& options) {
   const img::GridLayout layout = provider.layout();
@@ -818,22 +889,16 @@ StitchResult run_gpu_async(const ResourceSet& rs, const TileProvider& provider,
   const std::size_t bins = real_fft ? h * (w / 2 + 1) : count;
   const std::size_t buffer_bytes = bins * sizeof(fft::Complex);
 
-  const std::size_t gpu_count =
-      std::max<std::size_t>(1, std::min(rs.gpu_devices, layout.rows));
+  // Hybrid shape: CPU workers take the rows below the last GPU band.
+  const std::vector<RowBand> bands = gpu_row_bands(layout, rs);
+  const std::size_t gpu_count = bands.size();
   const std::size_t fft_stream_count =
       std::max<std::size_t>(1, options.fft_streams);
   const bool use_p2p = options.use_p2p && gpu_count > 1;
-  // Hybrid shape: CPU workers take the bottom row band as one more
-  // partition unit, GPUs the rest — an equal-rows static split that
-  // stealing refines at runtime. With cpu_workers == 0 the partition is
-  // identical to the legacy per-GPU split.
-  const bool cpu_band_exists = rs.cpu_workers > 0 && layout.rows > gpu_count;
-  const std::size_t units = gpu_count + (cpu_band_exists ? 1 : 0);
   const std::size_t batch_k = std::max<std::size_t>(1, rs.gpu_batch_pairs);
-  // Tile-side grouping shares one upload/FFT enqueue across k tiles; the
-  // p2p halo protocol needs the per-tile fft/copy interleaving, so grouping
-  // applies to the non-p2p path only.
-  const bool batch_tiles = batch_k > 1 && !use_p2p;
+  // Tiles per upload/FFT group. The p2p halo protocol needs per-tile FFT
+  // events, so under p2p every group is one tile.
+  const std::size_t group_k = use_p2p ? 1 : batch_k;
 
   // Host-side FFT pipeline for pairs executed off the GPU fast path: CPU
   // band workers and stolen pairs that find the device pools dry. Built
@@ -841,24 +906,6 @@ StitchResult run_gpu_async(const ResourceSet& rs, const TileProvider& provider,
   FftPipeline host_fftp;
   if (rs.cpu_workers > 0 || rs.steal_threshold > 0) {
     host_fftp = make_fft_pipeline(h, w, options.rigor, options.use_real_fft);
-  }
-  // Host plans for grouped (batched) launches: the VFft wrappers enqueue
-  // their own commands, so grouped commands execute the PlanCache plans
-  // directly under the device's fft mutex.
-  std::shared_ptr<const fft::PlanR2c2d> batch_r2c;
-  std::shared_ptr<const fft::PlanC2r2d> batch_c2r;
-  std::shared_ptr<const fft::Plan2d> batch_fwd;
-  std::shared_ptr<const fft::Plan2d> batch_inv;
-  if (batch_k > 1) {
-    if (real_fft) {
-      batch_r2c = fft::PlanCache::instance().plan_r2c_2d(h, w, options.rigor);
-      batch_c2r = fft::PlanCache::instance().plan_c2r_2d(h, w, options.rigor);
-    } else {
-      batch_fwd = fft::PlanCache::instance().plan_2d(
-          h, w, fft::Direction::kForward, options.rigor);
-      batch_inv = fft::PlanCache::instance().plan_2d(
-          h, w, fft::Direction::kInverse, options.rigor);
-    }
   }
 
   HaloExchange exchange;
@@ -869,12 +916,10 @@ StitchResult run_gpu_async(const ResourceSet& rs, const TileProvider& provider,
   for (std::size_t g = 0; g < gpu_count; ++g) {
     auto gpu = std::make_unique<GpuPipeline>();
     gpu->id = g;
-    const std::size_t row_begin = g * layout.rows / units;
-    const std::size_t row_end = (g + 1) * layout.rows / units;
-
-    const img::GridLayout band{row_end - row_begin + (g > 0 ? 1 : 0),
-                               layout.cols};
-    const std::size_t halo_begin = g > 0 ? row_begin - 1 : row_begin;
+    const std::size_t row_begin = bands[g].row_begin;
+    const std::size_t row_end = bands[g].row_end;
+    const img::GridLayout band = bands[g].layout(layout.cols);
+    const std::size_t halo_begin = bands[g].first_row();
     // Visit the band in the configured traversal order (shifted into it).
     for (const img::TilePos local : traversal_order(band, options.traversal)) {
       gpu->tiles_to_read.push_back(
@@ -887,12 +932,12 @@ StitchResult run_gpu_async(const ResourceSet& rs, const TileProvider& provider,
       for (std::size_t c = 0; c < layout.cols; ++c) {
         const img::TilePos pos{r, c};
         if (layout.has_west(pos) && !warm.skip_west(pos)) {
-          gpu->owned_pairs.push_back(PairRef{img::TilePos{r, c - 1}, pos,
-                                             true});
+          gpu->owned_pairs.push_back(
+              PairTask{img::TilePos{r, c - 1}, pos, /*is_west=*/true});
         }
         if (layout.has_north(pos) && !warm.skip_north(pos)) {
-          gpu->owned_pairs.push_back(PairRef{img::TilePos{r - 1, c}, pos,
-                                             false});
+          gpu->owned_pairs.push_back(
+              PairTask{img::TilePos{r - 1, c}, pos, /*is_west=*/false});
         }
       }
     }
@@ -922,6 +967,7 @@ StitchResult run_gpu_async(const ResourceSet& rs, const TileProvider& provider,
     config.faults = options.faults;
     config.cancel = options.cancel;
     gpu->device = std::make_unique<vgpu::Device>(config);
+    gpu->ffts.emplace(*gpu->device, h, w, real_fft, options.rigor);
     gpu->copy_stream = std::make_unique<vgpu::Stream>(*gpu->device, "copy");
     for (std::size_t s = 0; s < fft_stream_count; ++s) {
       gpu->fft_streams.push_back(std::make_unique<vgpu::Stream>(
@@ -929,17 +975,6 @@ StitchResult run_gpu_async(const ResourceSet& rs, const TileProvider& provider,
           fft_stream_count == 1 ? "fft" : "fft" + std::to_string(s)));
     }
     gpu->disp_stream = std::make_unique<vgpu::Stream>(*gpu->device, "disp");
-    if (real_fft) {
-      gpu->forward_r2c = std::make_unique<vgpu::VFftPlanR2c2d>(
-          *gpu->device, h, w, options.rigor);
-      gpu->inverse_c2r = std::make_unique<vgpu::VFftPlanC2r2d>(
-          *gpu->device, h, w, options.rigor);
-    } else {
-      gpu->forward = std::make_unique<vgpu::VFftPlan2d>(
-          *gpu->device, h, w, fft::Direction::kForward, options.rigor);
-      gpu->inverse = std::make_unique<vgpu::VFftPlan2d>(
-          *gpu->device, h, w, fft::Direction::kInverse, options.rigor);
-    }
 
     // Per-band pool sizing (pool > band working set) is enforced up front by
     // StitchRequest::validate().
@@ -964,7 +999,7 @@ StitchResult run_gpu_async(const ResourceSet& rs, const TileProvider& provider,
     // transform, released by the consumer after its p2p copy), then drop
     // any tile no owned pair needs (single-tile grids, or tiles whose every
     // pair a warm start already settled).
-    for (const PairRef& pair : gpu->owned_pairs) {
+    for (const PairTask& pair : gpu->owned_pairs) {
       for (const img::TilePos pos : {pair.reference, pair.moved}) {
         auto [it, inserted] =
             gpu->states.try_emplace(layout.index_of(pos), GpuTileState{});
@@ -981,26 +1016,24 @@ StitchResult run_gpu_async(const ResourceSet& rs, const TileProvider& provider,
     gpus.push_back(std::move(gpu));
   }
 
-  // The CPU band: its pairs are seeded (and the lane closed) up front —
-  // they have no device-side dependency chain, so there is nothing to wait
-  // for, and a closed lane is raidable down to zero by idle GPUs.
+  // The CPU band (empty without CPU workers): its pairs are seeded (and the
+  // lane closed) up front — they have no device-side dependency chain, so
+  // there is nothing to wait for, and a closed lane is raidable down to
+  // zero by idle GPUs.
   std::vector<PairTask> cpu_pairs;
-  if (cpu_band_exists) {
-    const std::size_t cpu_row_begin = gpu_count * layout.rows / units;
-    for (std::size_t r = cpu_row_begin; r < layout.rows; ++r) {
-      for (std::size_t c = 0; c < layout.cols; ++c) {
-        const img::TilePos pos{r, c};
-        if (layout.has_west(pos) && !warm.skip_west(pos)) {
-          cpu_pairs.push_back(
-              PairTask{img::TilePos{r, c - 1}, pos, /*is_west=*/true});
-        }
-        if (layout.has_north(pos) && !warm.skip_north(pos)) {
-          // North pairs on the band's first row reach into the last GPU
-          // band; the CPU worker loads both tiles itself (naive-style), so
-          // no cross-executor handoff is needed.
-          cpu_pairs.push_back(
-              PairTask{img::TilePos{r - 1, c}, pos, /*is_west=*/false});
-        }
+  for (std::size_t r = bands.back().row_end; r < layout.rows; ++r) {
+    for (std::size_t c = 0; c < layout.cols; ++c) {
+      const img::TilePos pos{r, c};
+      if (layout.has_west(pos) && !warm.skip_west(pos)) {
+        cpu_pairs.push_back(
+            PairTask{img::TilePos{r, c - 1}, pos, /*is_west=*/true});
+      }
+      if (layout.has_north(pos) && !warm.skip_north(pos)) {
+        // North pairs on the band's first row reach into the last GPU
+        // band; the CPU worker loads both tiles itself (naive-style), so
+        // no cross-executor handoff is needed.
+        cpu_pairs.push_back(
+            PairTask{img::TilePos{r - 1, c}, pos, /*is_west=*/false});
       }
     }
   }
@@ -1025,7 +1058,6 @@ StitchResult run_gpu_async(const ResourceSet& rs, const TileProvider& provider,
   q_ccf.instrument("pipelined_gpu.ccf");
   std::atomic<std::size_t> disp_stages_live{gpu_count};
   std::atomic<std::size_t> cpu_worker_ids{0};
-  DisplacementTable* table = &result.table;
   metrics::Histogram& pair_latency =
       metrics::wellknown::pair_latency_us(rs.label);
 
@@ -1042,21 +1074,11 @@ StitchResult run_gpu_async(const ResourceSet& rs, const TileProvider& provider,
     throw_if_cancelled(options);
     Translation t;
     if (victim != nullptr) {
-      const fft::Complex* fa = nullptr;
-      const fft::Complex* fb = nullptr;
-      std::shared_ptr<const img::ImageU16> tile_a, tile_b;
-      {
-        std::lock_guard<std::mutex> lock(victim->state_mutex);
-        GpuTileState& a = victim->states.at(layout.index_of(task.reference));
-        GpuTileState& b = victim->states.at(layout.index_of(task.moved));
-        fa = a.buffer.as<const fft::Complex>();
-        fb = b.buffer.as<const fft::Complex>();
-        tile_a = a.tile;
-        tile_b = b.tile;
-      }
-      t = pciam_from_spectra(fa, fb, *tile_a, *tile_b, host_fftp, scratch,
-                             &counts, options.peak_candidates,
-                             options.min_overlap_px);
+      const ClaimedPair pair = gather_pairs(*victim, layout, {&task, 1})[0];
+      t = pciam_from_spectra(pair.spectra.fft_reference,
+                             pair.spectra.fft_moved, *pair.reference,
+                             *pair.moved, host_fftp, scratch, &counts,
+                             options.peak_candidates, options.min_overlap_px);
       release_tile(victim, layout, task.reference);
       release_tile(victim, layout, task.moved);
     } else {
@@ -1066,12 +1088,7 @@ StitchResult run_gpu_async(const ResourceSet& rs, const TileProvider& provider,
       t = pciam_full(a, b, host_fftp, scratch, &counts,
                      options.peak_candidates, options.min_overlap_px);
     }
-    if (task.is_west) {
-      table->west_of(task.moved) = t;
-    } else {
-      table->north_of(task.moved) = t;
-    }
-    note_pair_result(options, task.moved, task.is_west, t);
+    record_pair(result.table, options, task.moved, task.is_west, t);
   };
 
   pipe::Pipeline pipeline;
@@ -1082,6 +1099,7 @@ StitchResult run_gpu_async(const ResourceSet& rs, const TileProvider& provider,
   for (std::size_t g = 0; g < gpu_count; ++g) {
     GpuPipeline* gpu = gpus[g].get();
     const std::size_t lane = gpu_lane[g];
+    const std::string stage = "g" + std::to_string(gpu->id) + ".";
     pipeline.on_cancel([gpu] {
       gpu->q_read.close();
       gpu->q_fft.close();
@@ -1094,8 +1112,7 @@ StitchResult run_gpu_async(const ResourceSet& rs, const TileProvider& provider,
 
     // ---- Stage 1: read. Halo-pull positions are forwarded unread.
     pipeline.add_stage(
-        "g" + std::to_string(gpu->id) + ".read",
-        std::max<std::size_t>(1, options.read_threads),
+        stage + "read", std::max<std::size_t>(1, options.read_threads),
         [gpu, &provider, &counts, &options, &layout] {
           for (const img::TilePos pos : gpu->tiles_to_read) {
             throw_if_cancelled(options);
@@ -1119,280 +1136,177 @@ StitchResult run_gpu_async(const ResourceSet& rs, const TileProvider& provider,
         },
         [gpu] { gpu->q_read.close(); });
 
-    // ---- Stage 2: copier. Blocking pool acquire = memory back-pressure.
-    if (!batch_tiles) {
-      // Regular tiles: host-convert + async H2D, then on to the FFT stage.
-      // Halo pulls (p2p): wait for the owner's published transform, order
-      // the peer copy after the owner's FFT event, and announce readiness
-      // directly (the transform arrives already in the frequency domain).
-      pipeline.add_stage(
-          "g" + std::to_string(gpu->id) + ".copy", 1,
-          [gpu, &layout, &exchange, h, w, count, bins, buffer_bytes,
-           real_fft] {
-            while (auto tile_work = gpu->q_read.pop()) {
-              const std::size_t index = layout.index_of(tile_work->pos);
-              vgpu::PooledBuffer buffer = gpu->pool->acquire();
-              if (tile_work->tile == nullptr) {
-                HaloExchange::Entry entry = exchange.take(index);
-                if (entry.transform == nullptr) return;  // cancelled
-                gpu->copy_stream->wait_event(entry.ready);
-                void* dst = buffer.data();
-                const fft::Complex* src = entry.transform;
-                gpu->copy_stream->enqueue("memcpy_p2p",
-                                          [dst, src, buffer_bytes] {
-                                            std::memcpy(dst, src,
-                                                        buffer_bytes);
-                                          });
-                {
-                  std::lock_guard<std::mutex> lock(gpu->state_mutex);
-                  GpuTileState& state = gpu->states.at(index);
-                  state.buffer = std::move(buffer);
-                  state.tile = std::move(entry.tile);
-                }
-                gpu->note_live();
-                const img::TilePos done = tile_work->pos;
-                gpu->copy_stream->enqueue(
-                    "halo_ready",
-                    [gpu, done, release = std::move(entry.release)] {
-                      release();  // owner may now recycle its copy
-                      gpu->q_ready.push(done);
-                    });
-                continue;
-              }
-              // Convert on the host into a staging block owned by the copy
-              // command (pinned-buffer analogue), then async H2D. Real-FFT
-              // mode stages the padded in-place r2c layout.
-              auto staging = std::make_unique<fft::Complex[]>(bins);
-              if (real_fft) {
-                vgpu::k_u16_to_real_padded(tile_work->tile->data(),
-                                           staging.get(), h, w);
-              } else {
-                vgpu::k_u16_to_complex(tile_work->tile->data(), staging.get(),
-                                       count);
-              }
+    // ---- Stage 2: copier. Host-converts up to group_k tiles into staging
+    // blocks owned by ONE async H2D command (pinned-buffer analogue; the
+    // real-FFT path stages the padded in-place r2c layout), then on to the
+    // FFT stage. Blocking pool acquire = memory back-pressure. Buffer FIRST,
+    // then work item: an unpaired buffer just returns to the pool via its
+    // handle, whereas holding a work item while blocking on a dry pool could
+    // deadlock a pool smaller than the group.
+    pipeline.add_stage(
+        stage + "copy", 1,
+        [gpu, &layout, &exchange, h, w, count, bins, buffer_bytes, real_fft,
+         group_k] {
+          struct Staged {
+            TileWork tile_work;
+            vgpu::PooledBuffer buffer;
+          };
+          struct Upload {
+            std::unique_ptr<fft::Complex[]> staging;
+            void* dst = nullptr;
+          };
+          while (auto first = gpu->q_read.pop()) {
+            vgpu::PooledBuffer buffer = gpu->pool->acquire();
+            if (first->tile == nullptr) {
+              // Halo pull (p2p): wait for the owner's published transform,
+              // order the peer copy after the owner's FFT event, and
+              // announce readiness directly (the transform arrives already
+              // in the frequency domain).
+              HaloExchange::Entry entry =
+                  exchange.take(layout.index_of(first->pos));
+              if (entry.transform == nullptr) return;  // cancelled
+              gpu->copy_stream->wait_event(entry.ready);
               void* dst = buffer.data();
+              const fft::Complex* src = entry.transform;
+              gpu->copy_stream->enqueue("memcpy_p2p",
+                                        [dst, src, buffer_bytes] {
+                                          std::memcpy(dst, src, buffer_bytes);
+                                        });
+              gpu->install(layout.index_of(first->pos), std::move(buffer),
+                           std::move(entry.tile));
               gpu->copy_stream->enqueue(
-                  "memcpy_h2d", [staging = std::move(staging), dst,
-                                 buffer_bytes] {
-                    std::memcpy(dst, staging.get(), buffer_bytes);
+                  "halo_ready",
+                  [gpu, done = first->pos,
+                   release = std::move(entry.release)] {
+                    release();  // owner may now recycle its copy
+                    gpu->q_ready.push(done);
                   });
-              {
-                std::lock_guard<std::mutex> lock(gpu->state_mutex);
-                GpuTileState& state = gpu->states.at(index);
-                state.buffer = std::move(buffer);
-                state.tile = std::move(tile_work->tile);
-              }
-              gpu->note_live();
-              if (!gpu->q_fft.push(tile_work->pos)) return;
+              continue;
             }
-            // Flush pending halo announcements before declaring this
-            // q_ready producer done.
-            gpu->copy_stream->synchronize();
-          },
-          [gpu] {
-            gpu->q_fft.close();
-            gpu->close_ready_when_done();
-          });
-    } else {
-      // Batched copier: group up to batch_k tiles into ONE H2D enqueue.
-      // Acquisition order matters — buffer FIRST, then work item: an
-      // unpaired buffer just returns to the pool via its handle, whereas
-      // holding a work item while blocking on a dry pool could deadlock a
-      // pool smaller than the batch.
-      pipeline.add_stage(
-          "g" + std::to_string(gpu->id) + ".copy", 1,
-          [gpu, &layout, h, w, count, bins, buffer_bytes, real_fft,
-           batch_k] {
-            struct Staged {
-              TileWork tile_work;
-              vgpu::PooledBuffer buffer;
-            };
-            struct Upload {
-              std::unique_ptr<fft::Complex[]> staging;
-              void* dst = nullptr;
-            };
-            for (;;) {
-              auto first = gpu->q_read.pop();
-              if (!first) break;
-              std::vector<Staged> group;
-              group.push_back(Staged{std::move(*first), gpu->pool->acquire()});
-              while (group.size() < batch_k) {
-                auto buffer = gpu->pool->try_acquire();
-                if (!buffer) break;  // pool pressure: upload what we have
-                // Batch formation: wait briefly for the reader to top the
-                // group up; a timeout (or close) dispatches the partial
-                // group. The unpaired buffer handle returns to the pool.
-                auto more =
-                    gpu->q_read.pop_for(std::chrono::microseconds(500));
-                if (!more) break;
-                group.push_back(Staged{std::move(*more), std::move(*buffer)});
-              }
-              auto uploads = std::make_unique<std::vector<Upload>>();
-              uploads->reserve(group.size());
-              for (Staged& s : group) {
-                Upload up;
-                up.staging = std::make_unique<fft::Complex[]>(bins);
-                if (real_fft) {
-                  vgpu::k_u16_to_real_padded(s.tile_work.tile->data(),
-                                             up.staging.get(), h, w);
-                } else {
-                  vgpu::k_u16_to_complex(s.tile_work.tile->data(),
-                                         up.staging.get(), count);
-                }
-                up.dst = s.buffer.data();
-                uploads->push_back(std::move(up));
-              }
-              gpu->copy_stream->enqueue(
-                  "memcpy_h2d_batched",
-                  [uploads = std::move(uploads), buffer_bytes] {
-                    for (const Upload& up : *uploads) {
-                      std::memcpy(up.dst, up.staging.get(), buffer_bytes);
-                    }
-                  });
-              for (Staged& s : group) {
-                const std::size_t index = layout.index_of(s.tile_work.pos);
-                {
-                  std::lock_guard<std::mutex> lock(gpu->state_mutex);
-                  GpuTileState& state = gpu->states.at(index);
-                  state.buffer = std::move(s.buffer);
-                  state.tile = std::move(s.tile_work.tile);
-                }
-                gpu->note_live();
-                if (!gpu->q_fft.push(s.tile_work.pos)) return;
-              }
+            std::vector<Staged> group;
+            group.push_back(Staged{std::move(*first), std::move(buffer)});
+            while (group.size() < group_k) {
+              auto more_buffer = gpu->pool->try_acquire();
+              if (!more_buffer) break;  // pool pressure: upload what we have
+              // Group formation: wait briefly for the reader to top the
+              // group up; a timeout (or close) dispatches the partial group.
+              auto more = gpu->q_read.pop_for(std::chrono::microseconds(500));
+              if (!more) break;
+              group.push_back(
+                  Staged{std::move(*more), std::move(*more_buffer)});
             }
-            gpu->copy_stream->synchronize();
-          },
-          [gpu] {
-            gpu->q_fft.close();
-            gpu->close_ready_when_done();
-          });
-    }
-
-    // ---- Stage 3: fft. Orders each FFT after the copy via a stream event,
-    // then has the fft stream itself announce completion to bookkeeping.
-    // With Kepler mode and several streams, FFTs issue concurrently.
-    auto fft_thread_ids = std::make_shared<std::atomic<std::size_t>>(0);
-    if (!batch_tiles) {
-      pipeline.add_stage(
-          "g" + std::to_string(gpu->id) + ".fft", fft_stream_count,
-          [gpu, &layout, &counts, &exchange, fft_thread_ids, bins, real_fft] {
-            const std::size_t stream_id =
-                fft_thread_ids->fetch_add(1, std::memory_order_relaxed) %
-                gpu->fft_streams.size();
-            vgpu::Stream& fft_stream = *gpu->fft_streams[stream_id];
-            while (auto pos = gpu->q_fft.pop()) {
-              const std::size_t index = layout.index_of(*pos);
-              vgpu::Event copied = gpu->copy_stream->record_event();
-              fft_stream.wait_event(std::move(copied));
-              fft::Complex* data = nullptr;
-              std::shared_ptr<const img::ImageU16> tile;
-              {
-                std::lock_guard<std::mutex> lock(gpu->state_mutex);
-                GpuTileState& state = gpu->states.at(index);
-                data = state.buffer.as<fft::Complex>();
-                tile = state.tile;
-              }
+            std::vector<Upload> uploads;
+            uploads.reserve(group.size());
+            for (Staged& s : group) {
+              Upload up;
+              up.staging = std::make_unique<fft::Complex[]>(bins);
               if (real_fft) {
-                gpu->forward_r2c->enqueue_inplace_padded_ptr(fft_stream, data);
+                vgpu::k_u16_to_real_padded(s.tile_work.tile->data(),
+                                           up.staging.get(), h, w);
               } else {
-                gpu->forward->enqueue_inplace_ptr(fft_stream, data);
+                vgpu::k_u16_to_complex(s.tile_work.tile->data(),
+                                       up.staging.get(), count);
               }
-              counts.bump(counts.forward_ffts);
-              counts.bump(counts.transform_bins, bins);
-              if (gpu->halo_export.contains(index)) {
-                HaloExchange::Entry entry;
-                entry.ready = fft_stream.record_event();
-                entry.transform = data;
-                entry.tile = std::move(tile);
-                const img::GridLayout grid = layout;
-                const img::TilePos pos_copy = *pos;
-                entry.release = [gpu, grid, pos_copy] {
-                  release_tile(gpu, grid, pos_copy);
-                };
-                exchange.publish(index, std::move(entry));
-              }
-              const img::TilePos done = *pos;
-              fft_stream.enqueue("announce",
-                                 [gpu, done] { gpu->q_ready.push(done); });
+              up.dst = s.buffer.data();
+              uploads.push_back(std::move(up));
             }
-            // Drain this thread's stream so its announcements land before
-            // the producer count drops.
-            fft_stream.synchronize();
-          },
-          [gpu] { gpu->close_ready_when_done(); });
-    } else {
-      // Batched fft: group up to batch_k transforms into ONE launch and ONE
-      // announcement. A single event covers the whole group — the copy
-      // stream is in-order, so "everything enqueued so far is done" implies
-      // every member's upload is done. The grouped launch holds the fft
-      // mutex across the batch (serialized even in Kepler mode — grouping
-      // is opt-in and trades kernel concurrency for launch overhead).
-      pipeline.add_stage(
-          "g" + std::to_string(gpu->id) + ".fft", fft_stream_count,
-          [gpu, &layout, &counts, fft_thread_ids, bins, real_fft, batch_k,
-           &batch_r2c, &batch_fwd] {
-            const std::size_t stream_id =
-                fft_thread_ids->fetch_add(1, std::memory_order_relaxed) %
-                gpu->fft_streams.size();
-            vgpu::Stream& fft_stream = *gpu->fft_streams[stream_id];
-            for (;;) {
-              auto first = gpu->q_fft.pop();
-              if (!first) break;
-              std::vector<img::TilePos> group{*first};
-              while (group.size() < batch_k) {
-                // Batch formation: brief timed pop so uploads still in
-                // flight can join this FFT group (timeout or queue close
-                // dispatches the partial group).
-                auto more =
-                    gpu->q_fft.pop_for(std::chrono::microseconds(500));
-                if (!more) break;
-                group.push_back(*more);
+            gpu->copy_stream->enqueue(
+                group_label("memcpy_h2d", group.size()),
+                [uploads = std::move(uploads), buffer_bytes] {
+                  for (const Upload& up : uploads) {
+                    std::memcpy(up.dst, up.staging.get(), buffer_bytes);
+                  }
+                });
+            for (Staged& s : group) {
+              gpu->install(layout.index_of(s.tile_work.pos),
+                           std::move(s.buffer), std::move(s.tile_work.tile));
+              if (!gpu->q_fft.push(s.tile_work.pos)) return;
+            }
+          }
+          // Flush pending halo announcements before declaring this q_ready
+          // producer done.
+          gpu->copy_stream->synchronize();
+        },
+        [gpu] {
+          gpu->q_fft.close();
+          gpu->close_ready_when_done();
+        });
+
+    // ---- Stage 3: fft. Groups up to group_k transforms into ONE launch and
+    // ONE announcement to bookkeeping, both on the fft stream. A single copy
+    // event covers the whole group — the copy stream is in-order, so
+    // "everything enqueued so far is done" implies every member's upload is
+    // done. An exported halo transform (p2p) is published with an event
+    // recorded after its FFT. With Kepler mode and several streams, FFTs
+    // issue concurrently.
+    auto fft_thread_ids = std::make_shared<std::atomic<std::size_t>>(0);
+    pipeline.add_stage(
+        stage + "fft", fft_stream_count,
+        [gpu, &layout, &counts, &exchange, fft_thread_ids, bins, group_k] {
+          const std::size_t stream_id =
+              fft_thread_ids->fetch_add(1, std::memory_order_relaxed) %
+              gpu->fft_streams.size();
+          vgpu::Stream& fft_stream = *gpu->fft_streams[stream_id];
+          while (auto first = gpu->q_fft.pop()) {
+            std::vector<img::TilePos> group{*first};
+            while (group.size() < group_k) {
+              // Group formation: brief timed pop so uploads still in flight
+              // can join this group (timeout or close dispatches it).
+              auto more = gpu->q_fft.pop_for(std::chrono::microseconds(500));
+              if (!more) break;
+              group.push_back(*more);
+            }
+            fft_stream.wait_event(gpu->copy_stream->record_event());
+            std::vector<fft::Complex*> datas;
+            datas.reserve(group.size());
+            {
+              std::lock_guard<std::mutex> lock(gpu->state_mutex);
+              for (const img::TilePos pos : group) {
+                datas.push_back(gpu->states.at(layout.index_of(pos))
+                                    .buffer.as<fft::Complex>());
               }
-              fft_stream.wait_event(gpu->copy_stream->record_event());
-              auto datas = std::make_unique<std::vector<fft::Complex*>>();
-              datas->reserve(group.size());
+            }
+            fft_stream.enqueue(
+                group_label(gpu->ffts->forward_label(), group.size()),
+                [gpu, datas = std::move(datas)] {
+                  for (fft::Complex* data : datas) gpu->ffts->forward(data);
+                });
+            counts.bump(counts.forward_ffts, group.size());
+            counts.bump(counts.transform_bins, group.size() * bins);
+            for (const img::TilePos pos : group) {
+              const std::size_t index = layout.index_of(pos);
+              if (!gpu->halo_export.contains(index)) continue;
+              HaloExchange::Entry entry;
+              entry.ready = fft_stream.record_event();
               {
                 std::lock_guard<std::mutex> lock(gpu->state_mutex);
-                for (const img::TilePos pos : group) {
-                  datas->push_back(gpu->states.at(layout.index_of(pos))
-                                       .buffer.as<fft::Complex>());
-                }
+                const GpuTileState& state = gpu->states.at(index);
+                entry.transform = state.buffer.as<fft::Complex>();
+                entry.tile = state.tile;
               }
-              vgpu::Device* dev = gpu->device.get();
-              fft_stream.enqueue(
-                  real_fft ? "fft2d_r2c_batched" : "fft2d_batched",
-                  [datas = std::move(datas), dev, real_fft,
-                   r2c = batch_r2c, fwd = batch_fwd] {
-                    std::lock_guard<std::mutex> lock(dev->fft_mutex());
-                    for (fft::Complex* data : *datas) {
-                      if (real_fft) {
-                        r2c->execute_inplace_padded(data);
-                      } else {
-                        fwd->execute_inplace(data);
-                      }
-                    }
-                  });
-              counts.bump(counts.forward_ffts, group.size());
-              counts.bump(counts.transform_bins, group.size() * bins);
-              auto poses =
-                  std::make_unique<std::vector<img::TilePos>>(std::move(group));
-              fft_stream.enqueue(
-                  "announce_batched", [gpu, poses = std::move(poses)] {
-                    for (const img::TilePos pos : *poses) {
-                      gpu->q_ready.push(pos);
-                    }
-                  });
+              entry.release = [gpu, grid = layout, pos] {
+                release_tile(gpu, grid, pos);
+              };
+              exchange.publish(index, std::move(entry));
             }
-            fft_stream.synchronize();
-          },
-          [gpu] { gpu->close_ready_when_done(); });
-    }
+            std::string announce = group_label("announce", group.size());
+            fft_stream.enqueue(std::move(announce),
+                               [gpu, group = std::move(group)] {
+                                 for (const img::TilePos pos : group) {
+                                   gpu->q_ready.push(pos);
+                                 }
+                               });
+          }
+          // Drain this thread's stream so its announcements land before the
+          // producer count drops.
+          fft_stream.synchronize();
+        },
+        [gpu] { gpu->close_ready_when_done(); });
 
     // ---- Stage 4: bookkeeping. Ready pairs go to this GPU's WorkPool lane
     // (not a private queue) — that is what makes them visible to thieves.
     pipeline.add_stage(
-        "g" + std::to_string(gpu->id) + ".bookkeeping", 1,
+        stage + "bookkeeping", 1,
         [gpu, &layout, &work, lane] {
           std::size_t emitted = 0;
           if (gpu->owned_pairs.empty()) return;
@@ -1401,15 +1315,14 @@ StitchResult run_gpu_async(const ResourceSet& rs, const TileProvider& provider,
             GpuTileState& state = gpu->states.at(layout.index_of(*pos));
             state.fft_done = true;
             // Advance every owned pair whose both transforms are ready.
-            for (const PairRef& pair : gpu->owned_pairs) {
+            for (const PairTask& pair : gpu->owned_pairs) {
               if (!(pair.reference == *pos) && !(pair.moved == *pos)) continue;
               const GpuTileState& a =
                   gpu->states.at(layout.index_of(pair.reference));
               const GpuTileState& b =
                   gpu->states.at(layout.index_of(pair.moved));
               if (a.fft_done && b.fft_done) {
-                work.push(lane,
-                          PairTask{pair.reference, pair.moved, pair.is_west});
+                work.push(lane, pair);
                 ++emitted;
               }
             }
@@ -1418,19 +1331,22 @@ StitchResult run_gpu_async(const ResourceSet& rs, const TileProvider& provider,
         },
         [&work, lane] { work.close(lane); });
 
-    // ---- Stage 5: displacement. Claims from this GPU's lane (up to
-    // gpu_batch_pairs at a time). Own-lane singles follow the legacy
-    // three-command sequence; own-lane batches collapse into one grouped
-    // k_batched launch; stolen pairs run synchronously on the host.
+    // ---- Stage 5: displacement. Claims up to gpu_batch_pairs pairs from
+    // this GPU's lane; a stolen pair runs synchronously on the host. An
+    // own-lane claim of one issues the paper's ncc -> inverse FFT ->
+    // max_reduce sequence, a larger claim ONE grouped k_batched launch
+    // sharing one NCC surface. Both complete their pairs from the stream,
+    // so the displacement thread never blocks on the GPU.
     pipeline.add_stage(
-        "g" + std::to_string(gpu->id) + ".displacement", 1,
+        stage + "displacement", 1,
         [gpu, lane, &work, &lane_owner, &layout, &counts, &q_ccf, &host_pair,
-         count, bins, real_fft, &options, batch_k, &batch_inv, &batch_c2r] {
+         count, bins, real_fft, &options, batch_k] {
           metrics::Gauge& busy = metrics::wellknown::sched_executor_busy(
               "gpu" + std::to_string(gpu->id));
           PciamScratch scratch;
           const std::size_t peaks_k =
               std::max<std::size_t>(1, options.peak_candidates);
+          vgpu::Stream& disp = *gpu->disp_stream;
           for (;;) {
             WorkPool::Claim claim = work.claim(lane, batch_k);
             if (claim.tasks.empty()) break;
@@ -1441,153 +1357,61 @@ StitchResult run_gpu_async(const ResourceSet& rs, const TileProvider& provider,
               busy.set(0);
               continue;
             }
-            if (claim.tasks.size() == 1) {
-              const PairTask pair = claim.tasks.front();
-              throw_if_cancelled(options);
-              vgpu::PooledBuffer ncc = gpu->ncc_pool->acquire();
-              const fft::Complex* fa = nullptr;
-              const fft::Complex* fb = nullptr;
-              std::shared_ptr<const img::ImageU16> tile_a, tile_b;
-              {
-                std::lock_guard<std::mutex> lock(gpu->state_mutex);
-                GpuTileState& a =
-                    gpu->states.at(layout.index_of(pair.reference));
-                GpuTileState& b = gpu->states.at(layout.index_of(pair.moved));
-                fa = a.buffer.as<const fft::Complex>();
-                fb = b.buffer.as<const fft::Complex>();
-                tile_a = a.tile;
-                tile_b = b.tile;
-              }
-              fft::Complex* fc = ncc.as<fft::Complex>();
-              gpu->disp_stream->enqueue("ncc", [fa, fb, fc, bins] {
-                vgpu::k_ncc_half(fa, fb, fc, bins);
+            throw_if_cancelled(options);
+            vgpu::PooledBuffer ncc = gpu->ncc_pool->acquire();
+            fft::Complex* fc = ncc.as<fft::Complex>();
+            std::vector<ClaimedPair> pairs =
+                gather_pairs(*gpu, layout, claim.tasks);
+            counts.bump(counts.ncc_multiplies, pairs.size());
+            counts.bump(counts.inverse_ffts, pairs.size());
+            counts.bump(counts.max_reductions, pairs.size());
+            if (pairs.size() == 1) {
+              const vgpu::PairDispJob job = pairs.front().spectra;
+              disp.enqueue("ncc", [job, fc, bins] {
+                vgpu::k_ncc_half(job.fft_reference, job.fft_moved, fc, bins);
               });
-              if (real_fft) {
-                gpu->inverse_c2r->enqueue_inplace_half_ptr(*gpu->disp_stream,
-                                                           fc);
-              } else {
-                gpu->inverse->enqueue_inplace_ptr(*gpu->disp_stream, fc,
-                                                  "ifft2d");
-              }
-              counts.bump(counts.ncc_multiplies);
-              counts.bump(counts.inverse_ffts);
-              counts.bump(counts.max_reductions);
-
-              // Reduce, hand the scalar to the CCF stage, release the NCC
-              // buffer and both tiles' references — all from the stream, so
-              // the displacement thread never blocks on the GPU.
-              const PairTask pair_copy = pair;
-              GpuPipeline* g = gpu;
-              const img::GridLayout grid = layout;
-              gpu->disp_stream->enqueue(
+              disp.enqueue(gpu->ffts->inverse_label(),
+                           [gpu, fc] { gpu->ffts->inverse(fc); });
+              disp.enqueue(
                   "max_reduce",
-                  [g, grid, fc, count, pair_copy, peaks_k, real_fft,
-                   ncc = std::move(ncc), tile_a = std::move(tile_a),
-                   tile_b = std::move(tile_b), &q_ccf]() mutable {
+                  [gpu, &layout, &q_ccf, fc, count, peaks_k, real_fft,
+                   ncc = std::move(ncc), pairs = std::move(pairs)]() mutable {
                     const auto peaks =
                         real_fft
                             ? vgpu::k_max_abs_topk_real(
                                   reinterpret_cast<const double*>(fc), count,
                                   peaks_k)
                             : vgpu::k_max_abs_topk(fc, count, peaks_k);
-                    CcfTask task;
-                    task.reference = std::move(tile_a);
-                    task.moved = std::move(tile_b);
-                    task.moved_pos = pair_copy.moved;
-                    task.is_west = pair_copy.is_west;
-                    task.peak_indices.reserve(peaks.size());
-                    for (const auto& peak : peaks) {
-                      task.peak_indices.push_back(peak.index);
-                    }
-                    q_ccf.push(std::move(task));
-                    // Recycle device memory.
                     ncc.release();
-                    release_tile(g, grid, pair_copy.reference);
-                    release_tile(g, grid, pair_copy.moved);
+                    complete_pair(gpu, layout, q_ccf, pairs.front(), peaks);
                   });
-              busy.set(0);
-              continue;
-            }
-            // Batched path: one grouped launch for the whole claim, sharing
-            // one NCC scratch buffer (the group runs sequentially inside the
-            // single command, so one surface suffices).
-            throw_if_cancelled(options);
-            vgpu::PooledBuffer ncc = gpu->ncc_pool->acquire();
-            fft::Complex* fc = ncc.as<fft::Complex>();
-            auto jobs = std::make_unique<std::vector<vgpu::PairDispJob>>();
-            auto tiles = std::make_unique<std::vector<
-                std::pair<std::shared_ptr<const img::ImageU16>,
-                          std::shared_ptr<const img::ImageU16>>>>();
-            jobs->reserve(claim.tasks.size());
-            tiles->reserve(claim.tasks.size());
-            {
-              std::lock_guard<std::mutex> lock(gpu->state_mutex);
-              for (const PairTask& pair : claim.tasks) {
-                GpuTileState& a =
-                    gpu->states.at(layout.index_of(pair.reference));
-                GpuTileState& b = gpu->states.at(layout.index_of(pair.moved));
-                jobs->push_back(
-                    vgpu::PairDispJob{a.buffer.as<const fft::Complex>(),
-                                      b.buffer.as<const fft::Complex>()});
-                tiles->emplace_back(a.tile, b.tile);
-              }
-            }
-            counts.bump(counts.ncc_multiplies, claim.tasks.size());
-            counts.bump(counts.inverse_ffts, claim.tasks.size());
-            counts.bump(counts.max_reductions, claim.tasks.size());
-            // The grouped command executes the host plan directly (the VFft
-            // wrappers would enqueue commands of their own), holding the
-            // device's FFT mutex across the batch.
-            vgpu::Device* dev = gpu->device.get();
-            std::function<void(fft::Complex*)> inverse_fn;
-            if (real_fft) {
-              inverse_fn = [plan = batch_c2r, dev](fft::Complex* data) {
-                std::lock_guard<std::mutex> lock(dev->fft_mutex());
-                plan->execute_inplace_half(data);
-              };
             } else {
-              inverse_fn = [plan = batch_inv, dev](fft::Complex* data) {
-                std::lock_guard<std::mutex> lock(dev->fft_mutex());
-                plan->execute_inplace(data);
-              };
+              disp.enqueue(
+                  "pair_batch",
+                  [gpu, &layout, &q_ccf, fc, count, bins, peaks_k, real_fft,
+                   ncc = std::move(ncc), pairs = std::move(pairs)]() mutable {
+                    std::vector<vgpu::PairDispJob> jobs;
+                    jobs.reserve(pairs.size());
+                    for (const ClaimedPair& pair : pairs) {
+                      jobs.push_back(pair.spectra);
+                    }
+                    vgpu::k_batched(
+                        jobs.data(), jobs.size(), fc, bins, count, peaks_k,
+                        real_fft,
+                        [gpu](fft::Complex* data) { gpu->ffts->inverse(data); },
+                        [&](std::size_t i,
+                            std::vector<vgpu::MaxAbsResult> peaks) {
+                          complete_pair(gpu, layout, q_ccf, pairs[i], peaks);
+                        });
+                    ncc.release();
+                  });
             }
-            auto batch_tasks =
-                std::make_unique<std::vector<PairTask>>(claim.tasks);
-            GpuPipeline* g = gpu;
-            const img::GridLayout grid = layout;
-            gpu->disp_stream->enqueue(
-                "pair_batch",
-                [g, grid, fc, count, bins, peaks_k, real_fft, inverse_fn,
-                 jobs = std::move(jobs), tiles = std::move(tiles),
-                 batch_tasks = std::move(batch_tasks), ncc = std::move(ncc),
-                 &q_ccf]() mutable {
-                  vgpu::k_batched(
-                      jobs->data(), jobs->size(), fc, bins, count, peaks_k,
-                      real_fft, inverse_fn,
-                      [&](std::size_t i,
-                          std::vector<vgpu::MaxAbsResult> peaks) {
-                        const PairTask& pair = (*batch_tasks)[i];
-                        CcfTask task;
-                        task.reference = std::move((*tiles)[i].first);
-                        task.moved = std::move((*tiles)[i].second);
-                        task.moved_pos = pair.moved;
-                        task.is_west = pair.is_west;
-                        task.peak_indices.reserve(peaks.size());
-                        for (const auto& peak : peaks) {
-                          task.peak_indices.push_back(peak.index);
-                        }
-                        q_ccf.push(std::move(task));
-                        release_tile(g, grid, pair.reference);
-                        release_tile(g, grid, pair.moved);
-                      });
-                  ncc.release();
-                });
             busy.set(0);
           }
           busy.set(0);
           // All pairs issued; wait for the stream to drain before declaring
           // this GPU's displacement work done.
-          gpu->disp_stream->synchronize();
+          disp.synchronize();
         },
         [&disp_stages_live, &q_ccf] {
           if (disp_stages_live.fetch_sub(1, std::memory_order_acq_rel) == 1) {
@@ -1626,7 +1450,7 @@ StitchResult run_gpu_async(const ResourceSet& rs, const TileProvider& provider,
   std::atomic<std::size_t> ccf_ids{0};
   pipeline.add_stage(
       "ccf", std::max<std::size_t>(1, options.ccf_threads),
-      [&q_ccf, table, &counts, &options, &ccf_ids, &pair_latency, w] {
+      [&q_ccf, &result, &counts, &options, &ccf_ids, &pair_latency, w] {
         const std::size_t id = ccf_ids.fetch_add(1, std::memory_order_relaxed);
         const std::string lane = "cpu.ccf" + std::to_string(id);
         while (auto task = q_ccf.pop()) {
@@ -1649,13 +1473,8 @@ StitchResult run_gpu_async(const ResourceSet& rs, const TileProvider& provider,
                                    task->peak_indices, w,
                                    options.min_overlap_px);
           }
-          if (task->is_west) {
-            table->west_of(task->moved_pos) = translation;
-          } else {
-            table->north_of(task->moved_pos) = translation;
-          }
-          note_pair_result(options, task->moved_pos, task->is_west,
-                           translation);
+          record_pair(result.table, options, task->moved_pos, task->is_west,
+                      translation);
         }
       });
 
@@ -1688,8 +1507,8 @@ StitchResult run_gpu_async(const ResourceSet& rs, const TileProvider& provider,
 }  // namespace
 
 // ---------------------------------------------------------------------------
-// Public API: ResourceSet factories, HybridScheduler, stitch(ResourceSet),
-// and the deprecated impl:: forwarders.
+// Public API: ResourceSet factories, the row-band partition,
+// HybridScheduler, and stitch(ResourceSet).
 // ---------------------------------------------------------------------------
 
 ResourceSet ResourceSet::for_backend(Backend backend,
@@ -1749,6 +1568,21 @@ std::string ResourceSet::describe() const {
   return s;
 }
 
+std::vector<RowBand> gpu_row_bands(const img::GridLayout& layout,
+                                   const ResourceSet& resources) {
+  const std::size_t gpus =
+      std::max<std::size_t>(1, std::min(resources.gpu_devices, layout.rows));
+  const bool cpu_band = resources.cpu_workers > 0 && layout.rows > gpus;
+  const std::size_t units = gpus + (cpu_band ? 1 : 0);
+  std::vector<RowBand> bands;
+  bands.reserve(gpus);
+  for (std::size_t g = 0; g < gpus; ++g) {
+    bands.push_back(
+        RowBand{g * layout.rows / units, (g + 1) * layout.rows / units});
+  }
+  return bands;
+}
+
 HybridScheduler::HybridScheduler(ResourceSet resources)
     : resources_(std::move(resources)) {}
 
@@ -1795,53 +1629,5 @@ StitchResult stitch(const ResourceSet& resources, const TileProvider& provider,
   result.seconds = stopwatch.seconds();
   return result;
 }
-
-// Deprecated per-backend entry points (impl.hpp): each is now a one-line
-// ResourceSet preset over the unified loop, kept so request.cpp's dispatch
-// and the fallback chains need no change.
-namespace impl {
-
-StitchResult stitch_naive(const TileProvider& provider,
-                          const StitchOptions& options) {
-  return HybridScheduler(
-             ResourceSet::for_backend(Backend::kNaivePairwise, options))
-      .run(provider, options);
-}
-
-StitchResult stitch_simple_cpu(const TileProvider& provider,
-                               const StitchOptions& options) {
-  return HybridScheduler(
-             ResourceSet::for_backend(Backend::kSimpleCpu, options))
-      .run(provider, options);
-}
-
-StitchResult stitch_mt_cpu(const TileProvider& provider,
-                           const StitchOptions& options) {
-  return HybridScheduler(ResourceSet::for_backend(Backend::kMtCpu, options))
-      .run(provider, options);
-}
-
-StitchResult stitch_pipelined_cpu(const TileProvider& provider,
-                                  const StitchOptions& options) {
-  return HybridScheduler(
-             ResourceSet::for_backend(Backend::kPipelinedCpu, options))
-      .run(provider, options);
-}
-
-StitchResult stitch_simple_gpu(const TileProvider& provider,
-                               const StitchOptions& options) {
-  return HybridScheduler(
-             ResourceSet::for_backend(Backend::kSimpleGpu, options))
-      .run(provider, options);
-}
-
-StitchResult stitch_pipelined_gpu(const TileProvider& provider,
-                                  const StitchOptions& options) {
-  return HybridScheduler(
-             ResourceSet::for_backend(Backend::kPipelinedGpu, options))
-      .run(provider, options);
-}
-
-}  // namespace impl
 
 }  // namespace hs::stitch

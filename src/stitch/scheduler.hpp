@@ -23,13 +23,22 @@
 //    because PCIAM pairs are pure: any executor produces the bit-identical
 //    Translation, so steals reorder work without changing the table.
 //
-//  * Batched vgpu dispatch (gpu_batch_pairs > 1): k pair tasks are claimed
-//    together and issued as ONE grouped launch through vgpu::k_batched (and
-//    k tile uploads/FFTs share one enqueue), amortizing Stream::enqueue
+//  * Batched vgpu dispatch (gpu_batch_pairs > 1): a dispatch policy over
+//    the one per-GPU pipeline, not a second pipeline. The copy and FFT
+//    stages group up to k tiles per enqueue (one under use_p2p, where a
+//    halo pull stays its own item), and the displacement stage claims up to
+//    k pairs and issues a claim of several as ONE vgpu::k_batched launch. A
+//    group or claim of one issues exactly the paper's per-tile and per-pair
+//    commands, which is what k = 1 runs. Grouping amortizes Stream::enqueue
 //    overhead the way Accelerating Pathology Image Data Cross-Comparison on
 //    CPU-GPU Hybrid Systems batches small GPU tasks. Semantic op counts
 //    (forward_ffts, ncc_multiplies, ...) are bumped per pair regardless of
 //    grouping; only hs_vgpu_stream_enqueues_total shrinks.
+//
+// Simple-GPU (ResourceSet::synchronous_gpu) keeps a shape of its own: one
+// caller thread, one default stream, a synchronize after every command —
+// the pathology the paper profiles in Fig 7. Threading that synchronous
+// mode through every asynchronous stage would cost more code than it saves.
 //
 // Observability: hs_sched_steals_total{direction}, hs_sched_batch_size,
 // hs_sched_executor_busy{executor}, and steal instants in the "sched" trace
@@ -37,6 +46,7 @@
 #pragma once
 
 #include <string>
+#include <vector>
 
 #include "stitch/stitcher.hpp"
 
@@ -77,6 +87,29 @@ struct ResourceSet {
   /// Human-readable shape, e.g. "2 cpu + 1 prefetch + 2 gpu (steal>1)".
   std::string describe() const;
 };
+
+/// One GPU's rows under the scheduler's static partition: it owns the pairs
+/// whose south/east tile lies in rows [row_begin, row_end), and reads those
+/// rows plus, for every band but the first, the halo row above them.
+struct RowBand {
+  std::size_t row_begin = 0;
+  std::size_t row_end = 0;
+
+  /// First row the band reads: its halo row, or row 0 for the first band.
+  std::size_t first_row() const { return row_begin > 0 ? row_begin - 1 : 0; }
+  /// The tile grid the band reads, halo row included.
+  img::GridLayout layout(std::size_t cols) const {
+    return img::GridLayout{row_end - first_row(), cols};
+  }
+};
+
+/// The static split of `layout` over `resources`' GPUs: contiguous
+/// equal-rows bands, one per GPU (gpu_devices clamped to [1, rows]). With
+/// CPU workers and rows to spare, the CPU band is one more equal unit at
+/// the bottom, rows [back().row_end, rows). Work stealing refines the split
+/// at run time; request validation and pool sizing read it too.
+std::vector<RowBand> gpu_row_bands(const img::GridLayout& layout,
+                                   const ResourceSet& resources);
 
 /// One dispatch loop over pair tasks for any ResourceSet. Preserves every
 /// backend contract: per-pair cancellation polling, warm-start filtering,

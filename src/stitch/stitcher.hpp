@@ -110,10 +110,11 @@ struct StitchOptions {
   /// the GPU keeps batch-sized chunks of its own work. 0 disables stealing
   /// entirely — the default, and the behavior of every legacy backend name.
   std::size_t steal_threshold = 0;
-  /// Pair tasks grouped into one vgpu launch on the GPU displacement path
-  /// (and tiles grouped per upload/FFT enqueue). 1 = legacy per-pair
-  /// dispatch; larger values amortize Stream::enqueue overhead without
-  /// changing tables or semantic op counts.
+  /// Most pairs one GPU displacement launch covers, and most tiles one
+  /// upload/FFT enqueue covers (always one under use_p2p). A dispatch
+  /// policy over the one Pipelined-GPU stage set: 1 issues the paper's
+  /// per-tile and per-pair commands; larger values amortize Stream::enqueue
+  /// overhead without changing tables or semantic op counts.
   std::size_t gpu_batch_pairs = 1;
 
   // --- SIMD kernel dispatch (common/simd.hpp) ----------------------------

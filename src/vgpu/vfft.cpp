@@ -5,6 +5,23 @@
 
 namespace hs::vgpu {
 
+namespace {
+
+/// Runs `kernel` as one FFT kernel on `device`: serialized against every
+/// other FFT kernel on the device (Fermi), or free to overlap with FFT
+/// kernels on other streams when the device models Kepler/Hyper-Q.
+template <typename Kernel>
+void run_fft_kernel(Device& device, const Kernel& kernel) {
+  if (device.config().concurrent_fft_kernels) {
+    kernel();
+    return;
+  }
+  std::lock_guard<std::mutex> lock(device.fft_mutex());
+  kernel();
+}
+
+}  // namespace
+
 VFftPlan2d::VFftPlan2d(Device& device, std::size_t height, std::size_t width,
                        fft::Direction dir, fft::Rigor rigor)
     : device_(&device),
@@ -17,17 +34,8 @@ void VFftPlan2d::enqueue(Stream& stream, const DeviceBuffer& in,
   HS_REQUIRE(&stream.device() == device_, "stream belongs to another device");
   const auto* src = in.as<const fft::Complex>();
   auto* dst = out.as<fft::Complex>();
-  auto plan = plan_;
-  Device* device = device_;
-  if (device->config().concurrent_fft_kernels) {
-    stream.enqueue(std::move(label), [plan, src, dst] {
-      plan->execute(src, dst);
-    });
-    return;
-  }
-  stream.enqueue(std::move(label), [plan, device, src, dst] {
-    std::lock_guard<std::mutex> lock(device->fft_mutex());
-    plan->execute(src, dst);
+  stream.enqueue(std::move(label), [self = *this, src, dst] {
+    run_fft_kernel(*self.device_, [&] { self.plan_->execute(src, dst); });
   });
 }
 
@@ -35,25 +43,15 @@ void VFftPlan2d::enqueue_inplace(Stream& stream, DeviceBuffer& data,
                                  std::string label) const {
   HS_REQUIRE(data.size() >= bytes(),
              "FFT buffer smaller than the planned transform");
-  enqueue_inplace_ptr(stream, data.as<fft::Complex>(), std::move(label));
+  HS_REQUIRE(&stream.device() == device_, "stream belongs to another device");
+  stream.enqueue(std::move(label),
+                 [self = *this, ptr = data.as<fft::Complex>()] {
+                   self.execute_inplace(ptr);
+                 });
 }
 
-void VFftPlan2d::enqueue_inplace_ptr(Stream& stream, fft::Complex* data,
-                                     std::string label) const {
-  HS_REQUIRE(&stream.device() == device_, "stream belongs to another device");
-  auto plan = plan_;
-  Device* device = device_;
-  if (device->config().concurrent_fft_kernels) {
-    // Kepler/Hyper-Q behaviour: FFT kernels on different streams overlap.
-    stream.enqueue(std::move(label), [plan, data] {
-      plan->execute_inplace(data);
-    });
-    return;
-  }
-  stream.enqueue(std::move(label), [plan, device, data] {
-    std::lock_guard<std::mutex> lock(device->fft_mutex());
-    plan->execute_inplace(data);
-  });
+void VFftPlan2d::execute_inplace(fft::Complex* data) const {
+  run_fft_kernel(*device_, [&] { plan_->execute_inplace(data); });
 }
 
 VFftPlanR2c2d::VFftPlanR2c2d(Device& device, std::size_t height,
@@ -61,22 +59,8 @@ VFftPlanR2c2d::VFftPlanR2c2d(Device& device, std::size_t height,
     : device_(&device),
       plan_(fft::PlanCache::instance().plan_r2c_2d(height, width, rigor)) {}
 
-void VFftPlanR2c2d::enqueue_inplace_padded_ptr(Stream& stream,
-                                               fft::Complex* data,
-                                               std::string label) const {
-  HS_REQUIRE(&stream.device() == device_, "stream belongs to another device");
-  auto plan = plan_;
-  Device* device = device_;
-  if (device->config().concurrent_fft_kernels) {
-    stream.enqueue(std::move(label), [plan, data] {
-      plan->execute_inplace_padded(data);
-    });
-    return;
-  }
-  stream.enqueue(std::move(label), [plan, device, data] {
-    std::lock_guard<std::mutex> lock(device->fft_mutex());
-    plan->execute_inplace_padded(data);
-  });
+void VFftPlanR2c2d::execute_inplace_padded(fft::Complex* data) const {
+  run_fft_kernel(*device_, [&] { plan_->execute_inplace_padded(data); });
 }
 
 VFftPlanC2r2d::VFftPlanC2r2d(Device& device, std::size_t height,
@@ -84,22 +68,8 @@ VFftPlanC2r2d::VFftPlanC2r2d(Device& device, std::size_t height,
     : device_(&device),
       plan_(fft::PlanCache::instance().plan_c2r_2d(height, width, rigor)) {}
 
-void VFftPlanC2r2d::enqueue_inplace_half_ptr(Stream& stream,
-                                             fft::Complex* data,
-                                             std::string label) const {
-  HS_REQUIRE(&stream.device() == device_, "stream belongs to another device");
-  auto plan = plan_;
-  Device* device = device_;
-  if (device->config().concurrent_fft_kernels) {
-    stream.enqueue(std::move(label), [plan, data] {
-      plan->execute_inplace_half(data);
-    });
-    return;
-  }
-  stream.enqueue(std::move(label), [plan, device, data] {
-    std::lock_guard<std::mutex> lock(device->fft_mutex());
-    plan->execute_inplace_half(data);
-  });
+void VFftPlanC2r2d::execute_inplace_half(fft::Complex* data) const {
+  run_fft_kernel(*device_, [&] { plan_->execute_inplace_half(data); });
 }
 
 }  // namespace hs::vgpu

@@ -1,9 +1,14 @@
 // cuFFT-analog: FFT plans executing on virtual-GPU streams.
 //
-// Mirrors the paper's cuFFT usage: plans are created per tile size, executed
-// asynchronously on a stream, and — reproducing the Fermi-era cuFFT register
-// pressure restriction the paper calls out — at most one FFT kernel runs on
-// a device at a time (enforced via Device::fft_mutex).
+// Mirrors the paper's cuFFT usage: plans are created per tile size and
+// executed on a device's streams. Every device FFT kernel — a stream
+// command of its own (enqueue*) or one transform inside a command that
+// groups several (execute*) — runs through one execute path in vfft.cpp
+// that applies the device's FFT-kernel rule: reproducing the Fermi-era
+// cuFFT register pressure restriction the paper calls out, at most one FFT
+// kernel runs on a device at a time (Device::fft_mutex), unless the device
+// models Kepler's concurrent FFT kernels
+// (DeviceConfig::concurrent_fft_kernels).
 #pragma once
 
 #include <memory>
@@ -29,12 +34,10 @@ class VFftPlan2d {
   void enqueue_inplace(Stream& stream, DeviceBuffer& data,
                        std::string label = "fft2d") const;
 
-  /// Raw-pointer variant for device memory owned elsewhere (e.g. a pooled
-  /// buffer whose handle lives in a guarded map). The pointer must refer to
-  /// at least count() Complex values of device memory and stay valid until
-  /// the stream passes this command.
-  void enqueue_inplace_ptr(Stream& stream, fft::Complex* data,
-                           std::string label = "fft2d") const;
+  /// Runs an in-place transform of count() Complex values of device memory
+  /// on the calling thread, as one device FFT kernel. Call it from inside a
+  /// stream command (e.g. one that groups several transforms).
+  void execute_inplace(fft::Complex* data) const;
 
   std::size_t height() const { return plan_->height(); }
   std::size_t width() const { return plan_->width(); }
@@ -55,8 +58,9 @@ class VFftPlanR2c2d {
   VFftPlanR2c2d(Device& device, std::size_t height, std::size_t width,
                 fft::Rigor rigor = fft::Rigor::kEstimate);
 
-  void enqueue_inplace_padded_ptr(Stream& stream, fft::Complex* data,
-                                  std::string label = "fft2d_r2c") const;
+  /// Runs the transform on the calling thread as one device FFT kernel;
+  /// call it from inside a stream command.
+  void execute_inplace_padded(fft::Complex* data) const;
 
   std::size_t height() const { return plan_->height(); }
   std::size_t width() const { return plan_->width(); }
@@ -76,8 +80,9 @@ class VFftPlanC2r2d {
   VFftPlanC2r2d(Device& device, std::size_t height, std::size_t width,
                 fft::Rigor rigor = fft::Rigor::kEstimate);
 
-  void enqueue_inplace_half_ptr(Stream& stream, fft::Complex* data,
-                                std::string label = "ifft2d_c2r") const;
+  /// Runs the transform on the calling thread as one device FFT kernel;
+  /// call it from inside a stream command.
+  void execute_inplace_half(fft::Complex* data) const;
 
   std::size_t height() const { return plan_->height(); }
   std::size_t width() const { return plan_->width(); }

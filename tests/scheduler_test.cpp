@@ -5,6 +5,8 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <map>
+#include <string>
 
 #include "common/stopwatch.hpp"
 #include "fault/plan.hpp"
@@ -13,6 +15,7 @@
 #include "stitch/scheduler.hpp"
 #include "stitch/stitcher.hpp"
 #include "testing_providers.hpp"
+#include "trace/trace.hpp"
 
 namespace hs::stitch {
 namespace {
@@ -158,11 +161,14 @@ TEST(HybridScheduling, CpuPlusGpuMatchesReferenceBitExactly) {
     MemoryTileProvider provider(&grid.tiles, grid.layout);
     const StitchResult reference =
         stitch(Backend::kSimpleCpu, provider, fast_options());
-    const StitchResult hybrid =
-        stitch(hybrid_set(1), provider, fast_options());
-    EXPECT_TRUE(tables_identical(reference.table, hybrid.table))
-        << "seed " << seed;
-    EXPECT_EQ(hybrid.backend_used, "hybrid");
+    for (const std::size_t batch : {1ul, 4ul}) {
+      ResourceSet rs = hybrid_set(1);
+      rs.gpu_batch_pairs = batch;
+      const StitchResult hybrid = stitch(rs, provider, fast_options());
+      EXPECT_TRUE(tables_identical(reference.table, hybrid.table))
+          << "seed " << seed << " batch " << batch;
+      EXPECT_EQ(hybrid.backend_used, "hybrid");
+    }
   }
 }
 
@@ -242,26 +248,38 @@ TEST(BatchedDispatch, BitIdenticalAndFewerEnqueues) {
 }
 
 TEST(BatchedDispatch, BatchOfOneIsExactlyLegacyDispatch) {
-  // gpu_batch_pairs = 1 must not change enqueue counts at all: same pair
-  // sequence, same per-pair commands.
+  // gpu_batch_pairs = 1 is the paper's per-pair dispatch (SIV-B): per tile
+  // one H2D copy, one forward FFT and one announcement, per pair the
+  // ncc -> inverse FFT -> max_reduce sequence, each its own enqueue on its
+  // stage's stream. 3x3 grid: 9 tiles x 3 + 12 pairs x 3 = 63 enqueues.
   const auto grid = make_grid(3, 3, 23);
   MemoryTileProvider provider(&grid.tiles, grid.layout);
   metrics::Counter& enqueues =
       metrics::wellknown::vgpu_stream_enqueues_total();
+  hs::trace::Recorder recorder;
 
   StitchOptions options = fast_options();
   options.gpu_count = 1;
-  const std::uint64_t before_a = enqueues.value();
-  const StitchResult a = stitch(Backend::kPipelinedGpu, provider, options);
-  const std::uint64_t delta_a = enqueues.value() - before_a;
-
   options.gpu_batch_pairs = 1;
-  const std::uint64_t before_b = enqueues.value();
-  const StitchResult b = stitch(Backend::kPipelinedGpu, provider, options);
-  const std::uint64_t delta_b = enqueues.value() - before_b;
+  options.recorder = &recorder;
+  const std::uint64_t before = enqueues.value();
+  const StitchResult result =
+      stitch(Backend::kPipelinedGpu, provider, options);
+  EXPECT_EQ(enqueues.value() - before, 63u);
 
-  EXPECT_TRUE(tables_identical(a.table, b.table));
-  EXPECT_EQ(delta_a, delta_b);
+  const bool real = options.use_real_fft;
+  const std::map<std::string, std::size_t> expected = {
+      {"gpu0.copy:memcpy_h2d", 9},
+      {real ? "gpu0.fft:fft2d_r2c" : "gpu0.fft:fft2d", 9},
+      {"gpu0.fft:announce", 9},
+      {"gpu0.disp:ncc", 12},
+      {real ? "gpu0.disp:ifft2d_c2r" : "gpu0.disp:ifft2d", 12},
+      {"gpu0.disp:max_reduce", 12}};
+  EXPECT_EQ(hs::testing::span_label_counts(recorder, "gpu0."), expected);
+
+  const StitchResult reference =
+      stitch(Backend::kSimpleCpu, provider, fast_options());
+  EXPECT_TRUE(tables_identical(reference.table, result.table));
 }
 
 // --- straggler rescue --------------------------------------------------------

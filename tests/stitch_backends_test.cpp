@@ -7,6 +7,8 @@
 
 #include <algorithm>
 #include <filesystem>
+#include <map>
+#include <string>
 
 #include "simdata/plate.hpp"
 #include "stitch/request.hpp"
@@ -200,12 +202,15 @@ TEST(TraversalMemory, DiagonalKeepsFewerTransformsLiveThanRow) {
 TEST(PipelinedGpu, MultiGpuMatchesSingleGpu) {
   const auto grid = make_grid(4, 4, 51);
   MemoryTileProvider provider(&grid.tiles, grid.layout);
-  StitchOptions options = fast_options();
-  options.gpu_count = 1;
-  const auto one = stitch(Backend::kPipelinedGpu, provider, options);
-  options.gpu_count = 3;
-  const auto three = stitch(Backend::kPipelinedGpu, provider, options);
-  EXPECT_TRUE(tables_identical(one.table, three.table));
+  for (std::size_t batch : {1ul, 4ul}) {
+    StitchOptions options = fast_options();
+    options.gpu_batch_pairs = batch;
+    options.gpu_count = 1;
+    const auto one = stitch(Backend::kPipelinedGpu, provider, options);
+    options.gpu_count = 3;
+    const auto three = stitch(Backend::kPipelinedGpu, provider, options);
+    EXPECT_TRUE(tables_identical(one.table, three.table)) << "batch=" << batch;
+  }
 }
 
 TEST(PipelinedGpu, GpuCountClampedToRows) {
@@ -262,6 +267,18 @@ TEST(SimpleGpu, SingleStreamLaneOnly) {
   const auto lanes = recorder.lanes();
   ASSERT_EQ(lanes.size(), 1u);
   EXPECT_EQ(lanes[0], "gpu0.default");
+  // The paper's Fig 7 command stream, all on the one default stream: per
+  // tile an H2D copy and a forward FFT, per pair ncc -> inverse FFT ->
+  // max_reduce -> D2H of the peaks (2x2 grid: 4 tiles, 4 pairs).
+  const bool real = options.use_real_fft;
+  const std::map<std::string, std::size_t> expected = {
+      {"gpu0.default:memcpy_h2d", 4},
+      {real ? "gpu0.default:fft2d_r2c" : "gpu0.default:fft2d", 4},
+      {"gpu0.default:ncc", 4},
+      {real ? "gpu0.default:ifft2d_c2r" : "gpu0.default:ifft2d", 4},
+      {"gpu0.default:max_reduce", 4},
+      {"gpu0.default:memcpy_d2h", 4}};
+  EXPECT_EQ(hs::testing::span_label_counts(recorder, "gpu0."), expected);
 }
 
 // --- determinism -------------------------------------------------------------------

@@ -60,14 +60,17 @@ TEST(P2p, MatchesReferenceOnEveryBandCount) {
   // recovery on this particular content is a property of the workload, not
   // of the band count, and is covered by the backends suite).
   const auto reference = stitch(Backend::kSimpleCpu, provider, gpu_options(1));
-  for (std::size_t gpus : {2ul, 4ul, 5ul}) {
-    StitchOptions options = gpu_options(gpus);
-    options.use_p2p = true;
-    const auto result = stitch(Backend::kPipelinedGpu, provider, options);
-    EXPECT_TRUE(diff_tables(reference.table, result.table).identical())
-        << "gpus=" << gpus;
-    EXPECT_EQ(result.ops.forward_ffts, grid.layout.tile_count())
-        << "gpus=" << gpus;
+  for (std::size_t batch : {1ul, 4ul}) {
+    for (std::size_t gpus : {2ul, 4ul, 5ul}) {
+      StitchOptions options = gpu_options(gpus);
+      options.use_p2p = true;
+      options.gpu_batch_pairs = batch;
+      const auto result = stitch(Backend::kPipelinedGpu, provider, options);
+      EXPECT_TRUE(diff_tables(reference.table, result.table).identical())
+          << "gpus=" << gpus << " batch=" << batch;
+      EXPECT_EQ(result.ops.forward_ffts, grid.layout.tile_count())
+          << "gpus=" << gpus << " batch=" << batch;
+    }
   }
 }
 
@@ -91,26 +94,35 @@ TEST(P2p, SingleBandDegeneratesToBaseline) {
 TEST(Kepler, ConcurrentFftStreamsMatchBaseline) {
   const auto grid = make_grid(4, 4, 31);
   MemoryTileProvider provider(&grid.tiles, grid.layout);
-  StitchOptions options = gpu_options(2);
-  const auto baseline = stitch(Backend::kPipelinedGpu, provider, options);
-  options.kepler_concurrent_fft = true;
-  options.fft_streams = 3;
-  const auto kepler = stitch(Backend::kPipelinedGpu, provider, options);
-  EXPECT_TRUE(diff_tables(baseline.table, kepler.table).identical());
-  EXPECT_EQ(baseline.ops.forward_ffts, kepler.ops.forward_ffts);
+  for (std::size_t batch : {1ul, 4ul}) {
+    StitchOptions options = gpu_options(2);
+    options.gpu_batch_pairs = batch;
+    const auto baseline = stitch(Backend::kPipelinedGpu, provider, options);
+    options.kepler_concurrent_fft = true;
+    options.fft_streams = 3;
+    const auto kepler = stitch(Backend::kPipelinedGpu, provider, options);
+    EXPECT_TRUE(diff_tables(baseline.table, kepler.table).identical())
+        << "batch=" << batch;
+    EXPECT_EQ(baseline.ops.forward_ffts, kepler.ops.forward_ffts)
+        << "batch=" << batch;
+  }
 }
 
 TEST(Kepler, CombinesWithP2p) {
   const auto grid = make_grid(6, 3, 32);
   MemoryTileProvider provider(&grid.tiles, grid.layout);
   const auto reference = stitch(Backend::kSimpleCpu, provider, gpu_options(1));
-  StitchOptions options = gpu_options(3);
-  options.kepler_concurrent_fft = true;
-  options.fft_streams = 2;
-  options.use_p2p = true;
-  const auto result = stitch(Backend::kPipelinedGpu, provider, options);
-  EXPECT_EQ(result.ops.forward_ffts, 18u);
-  EXPECT_TRUE(diff_tables(reference.table, result.table).identical());
+  for (std::size_t batch : {1ul, 4ul}) {
+    StitchOptions options = gpu_options(3);
+    options.kepler_concurrent_fft = true;
+    options.fft_streams = 2;
+    options.use_p2p = true;
+    options.gpu_batch_pairs = batch;
+    const auto result = stitch(Backend::kPipelinedGpu, provider, options);
+    EXPECT_EQ(result.ops.forward_ffts, 18u) << "batch=" << batch;
+    EXPECT_TRUE(diff_tables(reference.table, result.table).identical())
+        << "batch=" << batch;
+  }
 }
 
 // --- validate -----------------------------------------------------------------------

@@ -7,11 +7,13 @@
 #include <atomic>
 #include <chrono>
 #include <cstdlib>
+#include <map>
 #include <string>
 #include <thread>
 
 #include "simdata/plate.hpp"
 #include "stitch/stitcher.hpp"
+#include "trace/trace.hpp"
 
 namespace hs::testing {
 
@@ -96,6 +98,19 @@ inline bool tables_identical(const stitch::DisplacementTable& a,
     }
   }
   return true;
+}
+
+/// Span counts keyed "lane:label" over the lanes starting with
+/// `lane_prefix` — the command fingerprint of a traced virtual-GPU run.
+inline std::map<std::string, std::size_t> span_label_counts(
+    const trace::Recorder& recorder, const std::string& lane_prefix) {
+  std::map<std::string, std::size_t> counts;
+  for (const trace::Span& span : recorder.spans()) {
+    if (span.lane.starts_with(lane_prefix)) {
+      ++counts[span.lane + ":" + span.name];
+    }
+  }
+  return counts;
 }
 
 /// Serves a synthetic grid but throws on one designated tile, optionally

@@ -3,7 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstring>
+#include <mutex>
 #include <numeric>
 #include <thread>
 
@@ -395,6 +397,37 @@ TEST(Vfft, InplaceMatchesOutOfPlace) {
   stream.synchronize();
   for (std::size_t i = 0; i < h * w; ++i) {
     EXPECT_EQ(inplace[i], oop[i]);
+  }
+}
+
+TEST(Vfft, KernelRuleFollowsDeviceGeneration) {
+  // Every device FFT runs through one execute path: on a Fermi device it
+  // waits for the device's FFT mutex, on a Kepler device it does not.
+  for (const bool kepler : {false, true}) {
+    DeviceConfig config = small_device();
+    config.concurrent_fft_kernels = kepler;
+    Device device(config);
+    VFftPlan2d plan(device, 8, 8, fft::Direction::kForward);
+    std::vector<fft::Complex> data(plan.count());
+    std::atomic<bool> done{false};
+    std::unique_lock<std::mutex> held(device.fft_mutex());
+    std::thread kernel([&] {
+      plan.execute_inplace(data.data());
+      done = true;
+    });
+    if (kepler) {
+      const auto deadline =
+          std::chrono::steady_clock::now() + std::chrono::seconds(10);
+      while (!done && std::chrono::steady_clock::now() < deadline) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+      }
+    } else {
+      std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    }
+    EXPECT_EQ(done.load(), kepler) << "kepler=" << kepler;
+    held.unlock();
+    kernel.join();
+    EXPECT_TRUE(done.load());
   }
 }
 
