@@ -256,9 +256,28 @@ int main(int argc, char** argv) {
   if (!stitch::json_out_from_cli(cli).empty()) {
     std::FILE* json = std::fopen(stitch::json_out_from_cli(cli).c_str(), "w");
     if (json != nullptr) {
+      // The gbench shape scripts/perf_gate.py diffs (wall times in
+      // real_time_ns, bigger-is-better ratios in derived), then the
+      // section's full record.
       std::fprintf(
           json,
           "{\n"
+          "  \"bench\": \"sched\",\n"
+          "  \"real_time_ns\": {\n"
+          "    \"sched_hybrid_balanced_ns\": %.0f,\n"
+          "    \"sched_hybrid_static_split_ns\": %.0f,\n"
+          "    \"sched_hybrid_stealing_ns\": %.0f,\n"
+          "    \"sched_batch1_ns\": %.0f,\n"
+          "    \"sched_batch8_ns\": %.0f\n"
+          "  },\n"
+          "  \"derived\": {\n"
+          "    \"idle_recovered_fraction\": %.4f,\n"
+          "    \"enqueue_reduction_x\": %.2f\n"
+          "  },\n",
+          t_bal * 1e9, t_static * 1e9, t_steal * 1e9, t_batch1 * 1e9,
+          t_batch8 * 1e9, recovered, reduction);
+      std::fprintf(
+          json,
           "  \"grid\": {\"rows\": %zu, \"cols\": %zu, \"tile_h\": %zu, "
           "\"tile_w\": %zu},\n"
           "  \"straggler\": {\n"

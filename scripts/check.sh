@@ -125,11 +125,13 @@ for preset in "${presets[@]}"; do
     # its budgets (stealing recovers < 70% of the straggler's idle time, or
     # batched dispatch cuts vgpu enqueues by < 4x). The section's numbers
     # land in build/bench/, so a gate run never overwrites the committed
-    # BENCH_sched.json (refresh it deliberately with
+    # BENCH_sched.json, and are trajectory-gated by perf_gate.py against it
+    # (refresh it deliberately with
     # ./build/bench/table2_runtimes --json-out=BENCH_sched.json).
-    echo "==> [release] table2_runtimes scheduler budgets (BENCH_sched.json)"
+    echo "==> [release] table2_runtimes scheduler budgets + trajectory (BENCH_sched.json)"
     ./build/bench/table2_runtimes --json-out=build/bench/BENCH_sched.json \
       >/dev/null
+    python3 scripts/perf_gate.py BENCH_sched.json build/bench/BENCH_sched.json
     # Benchmark-trajectory gate for the SIMD codelets: regenerate the FFT
     # and kernel micro-benchmark snapshots and diff them against the
     # committed baselines. bench_fft itself enforces the tentpole >=1.3x

@@ -45,24 +45,6 @@ class WarmFilter {
   bool skip_west(img::TilePos moved) const { return skip(moved, true); }
   bool skip_north(img::TilePos moved) const { return skip(moved, false); }
 
-  /// The tile's degree in the *remaining* pair graph: its initial reference
-  /// count under a warm start. Equals TransformCache::pair_degree when no
-  /// warm table is set.
-  std::size_t degree(const img::GridLayout& layout, img::TilePos pos) const {
-    std::size_t d = 0;
-    if (layout.has_west(pos) && !skip_west(pos)) ++d;
-    if (layout.has_north(pos) && !skip_north(pos)) ++d;
-    if (layout.has_east(pos) &&
-        !skip_west(img::TilePos{pos.row, pos.col + 1})) {
-      ++d;
-    }
-    if (layout.has_south(pos) &&
-        !skip_north(img::TilePos{pos.row + 1, pos.col})) {
-      ++d;
-    }
-    return d;
-  }
-
   /// Number of pairs the warm table already covers.
   std::size_t warm_pair_count(const img::GridLayout& layout) const;
 

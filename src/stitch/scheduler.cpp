@@ -2,6 +2,7 @@
 // (see scheduler.hpp for the design rationale). Layout of this file:
 //
 //   WorkPool            lanes of pair tasks + the claim/steal protocol
+//   cached_pair         the host TransformCache path every CPU executor runs
 //   run_cpu             CPU-only shapes (naive, simple-, mt-, pipelined-cpu)
 //   run_gpu_sync        the synchronous single-stream Simple-GPU shape
 //   run_gpu_async       pipelined GPU shapes, incl. hybrid CPU+GPU bands,
@@ -248,6 +249,86 @@ void record_pair(DisplacementTable& table, const StitchOptions& options,
 }
 
 // ---------------------------------------------------------------------------
+// Host transform cache: built and used the same way by the CPU-only shapes
+// and the hybrid CPU band.
+// ---------------------------------------------------------------------------
+
+/// Each tile's number of appearances in `pairs`: the initial reference
+/// counts of a TransformCache that serves exactly those pairs.
+std::vector<std::size_t> tile_refcounts(const img::GridLayout& layout,
+                                        std::span<const PairTask> pairs) {
+  std::vector<std::size_t> refs(layout.tile_count(), 0);
+  for (const PairTask& pair : pairs) {
+    ++refs[layout.index_of(pair.reference)];
+    ++refs[layout.index_of(pair.moved)];
+  }
+  return refs;
+}
+
+/// The host TransformCache of a run's CPU executors, bound to the options'
+/// cross-job store when one is set.
+std::unique_ptr<TransformCache> make_transform_cache(
+    const TileProvider& provider, const FftPipeline& fftp,
+    OpCountsAtomic& counts, const StitchOptions& options,
+    std::vector<std::size_t> refcounts) {
+  SharedCacheBinding shared;
+  shared.cache = options.shared_cache;
+  shared.tenant =
+      options.shared_tenant.empty() ? "default" : options.shared_tenant;
+  shared.tenant_quota_bytes = options.shared_tenant_quota_bytes;
+  shared.spill = options.spill;
+  return std::make_unique<TransformCache>(provider, fftp, &counts,
+                                          std::move(refcounts),
+                                          std::move(shared));
+}
+
+/// One pair through a TransformCache: the cached-pair body of every host
+/// executor running a cache-served pair (CPU workers, and GPU thieves that
+/// steal a CPU-band pair). Each tile is read and transformed once however
+/// many pairs and executors use it, then released after its last pair.
+Translation cached_pair(TransformCache& cache, const PairTask& task,
+                        const StitchOptions& options, PciamScratch& scratch,
+                        OpCountsAtomic& counts) {
+  const FftPipeline& fftp = cache.pipeline();
+  const SharedCacheBinding& shared = cache.shared();
+  std::optional<PairKey> key;
+  Translation t;
+  if (shared.cache != nullptr) {
+    // Cross-job memoization: a pair whose tile contents and PCIAM
+    // parameters match an earlier job replays the cached displacement
+    // without touching the FFT. PCIAM is a pure function of tile bytes and
+    // parameters, so the replayed Translation is bit-identical to a
+    // recomputation. On a hit the tiles are released without ever
+    // computing — release() tolerates never-computed entries.
+    key = PairKey{cache.digest(task.reference),
+                  cache.digest(task.moved),
+                  static_cast<std::uint32_t>(fftp.height),
+                  static_cast<std::uint32_t>(fftp.width),
+                  fftp.real_fft,
+                  cache.tier(),
+                  static_cast<std::uint32_t>(options.peak_candidates),
+                  options.min_overlap_px};
+    if (shared.cache->find_pair(*key, &t)) {
+      cache.release(task.reference);
+      cache.release(task.moved);
+      return t;
+    }
+  }
+  const fft::Complex* fft_ref = cache.transform(task.reference);
+  const fft::Complex* fft_mov = cache.transform(task.moved);
+  t = pciam_from_spectra(fft_ref, fft_mov, cache.tile(task.reference),
+                         cache.tile(task.moved), fftp, scratch, &counts,
+                         options.peak_candidates, options.min_overlap_px);
+  cache.release(task.reference);
+  cache.release(task.moved);
+  if (key) {
+    shared.cache->insert_pair(*key, t, shared.tenant,
+                              shared.tenant_quota_bytes, shared.spill);
+  }
+  return t;
+}
+
+// ---------------------------------------------------------------------------
 // CPU-only shapes: naive (no cache), simple-cpu (1 worker, inline),
 // mt-cpu (N workers), pipelined-cpu (N workers + prefetch threads).
 // ---------------------------------------------------------------------------
@@ -255,7 +336,6 @@ void record_pair(DisplacementTable& table, const StitchOptions& options,
 StitchResult run_cpu(const ResourceSet& rs, const TileProvider& provider,
                      const StitchOptions& options) {
   const img::GridLayout layout = provider.layout();
-  const WarmFilter warm(options.warm_start);
   StitchResult result(layout);
   OpCountsAtomic counts;
 
@@ -263,32 +343,21 @@ StitchResult run_cpu(const ResourceSet& rs, const TileProvider& provider,
       make_fft_pipeline(provider.tile_height(), provider.tile_width(),
                         options.rigor, options.use_real_fft);
 
+  const std::vector<PairTask> pairs = pairs_in_closure_order(
+      layout, options.traversal, WarmFilter(options.warm_start));
+  const std::vector<std::size_t> refcounts = tile_refcounts(layout, pairs);
+  // The naive shape deliberately skips the cross-job store too: its whole
+  // point is the no-reuse baseline.
   std::unique_ptr<TransformCache> cache;
   if (rs.use_transform_cache) {
-    SharedCacheBinding shared;
-    shared.cache = options.shared_cache;
-    shared.tenant =
-        options.shared_tenant.empty() ? "default" : options.shared_tenant;
-    shared.tenant_quota_bytes = options.shared_tenant_quota_bytes;
-    shared.spill = options.spill;
-    cache = std::make_unique<TransformCache>(provider, fftp, &counts, warm,
-                                             std::move(shared));
+    cache = make_transform_cache(provider, fftp, counts, options, refcounts);
   }
-  // The naive shape deliberately skips the cross-job store too: its whole
-  // point is the no-reuse baseline. The GPU shapes compute spectra on
-  // device and never touch the host TransformCache, so they run unshared.
-  SharedSpectrumCache* shared_store =
-      cache != nullptr ? cache->shared().cache : nullptr;
-  const common::SimdTier shared_tier = common::active_tier();
   metrics::Histogram& pair_latency =
       metrics::wellknown::pair_latency_us(rs.label);
 
   WorkPool work(rs.steal_threshold, options.recorder);
   const std::size_t lane = work.add_lane("cpu", WorkPool::Kind::kCpu);
-  for (const PairTask& task :
-       pairs_in_closure_order(layout, options.traversal, warm)) {
-    work.push(lane, task);
-  }
+  for (const PairTask& task : pairs) work.push(lane, task);
   work.close(lane);
 
   auto process_pair = [&](const PairTask& task, PciamScratch& scratch) {
@@ -296,48 +365,7 @@ StitchResult run_cpu(const ResourceSet& rs, const TileProvider& provider,
     throw_if_cancelled(options);
     Translation t;
     if (cache != nullptr) {
-      if (shared_store != nullptr) {
-        // Cross-job memoization: a pair whose tile contents and PCIAM
-        // parameters match an earlier job replays the cached displacement
-        // without touching the FFT. PCIAM is a pure function of tile bytes
-        // and parameters, so the replayed Translation is bit-identical to a
-        // recomputation. On a hit the tiles are released without ever
-        // computing — release() tolerates never-computed entries.
-        const PairKey key{
-            cache->digest(task.reference),
-            cache->digest(task.moved),
-            static_cast<std::uint32_t>(fftp.height),
-            static_cast<std::uint32_t>(fftp.width),
-            fftp.real_fft,
-            shared_tier,
-            static_cast<std::uint32_t>(options.peak_candidates),
-            options.min_overlap_px};
-        if (shared_store->find_pair(key, &t)) {
-          cache->release(task.reference);
-          cache->release(task.moved);
-        } else {
-          const fft::Complex* fft_ref = cache->transform(task.reference);
-          const fft::Complex* fft_mov = cache->transform(task.moved);
-          t = pciam_from_spectra(
-              fft_ref, fft_mov, cache->tile(task.reference),
-              cache->tile(task.moved), fftp, scratch, &counts,
-              options.peak_candidates, options.min_overlap_px);
-          cache->release(task.reference);
-          cache->release(task.moved);
-          shared_store->insert_pair(key, t, cache->shared().tenant,
-                                    cache->shared().tenant_quota_bytes,
-                                    cache->shared().spill);
-        }
-      } else {
-        const fft::Complex* fft_ref = cache->transform(task.reference);
-        const fft::Complex* fft_mov = cache->transform(task.moved);
-        t = pciam_from_spectra(
-            fft_ref, fft_mov, cache->tile(task.reference),
-            cache->tile(task.moved), fftp, scratch, &counts,
-            options.peak_candidates, options.min_overlap_px);
-        cache->release(task.reference);
-        cache->release(task.moved);
-      }
+      t = cached_pair(*cache, task, options, scratch, counts);
     } else {
       // Naive (Fiji-style) shape: both tiles re-read and re-transformed for
       // every pair, no reuse.
@@ -373,11 +401,11 @@ StitchResult run_cpu(const ResourceSet& rs, const TileProvider& provider,
             : traversal_working_set(layout, options.traversal) + 4;
     std::vector<img::TilePos> prefetch_list;
     if (rs.prefetch_threads > 0) {
-      // Tiles whose every pair a warm start settled have degree 0: they are
-      // neither read nor transformed.
+      // Tiles whose every pair a warm start settled have no references:
+      // they are neither read nor transformed.
       for (const img::TilePos pos :
            traversal_order(layout, options.traversal)) {
-        if (warm.degree(layout, pos) > 0) prefetch_list.push_back(pos);
+        if (refcounts[layout.index_of(pos)] > 0) prefetch_list.push_back(pos);
       }
     }
     std::atomic<std::size_t> next_prefetch{0};
@@ -498,9 +526,11 @@ class DeviceFfts {
 StitchResult run_gpu_sync(const ResourceSet& rs, const TileProvider& provider,
                           const StitchOptions& options) {
   const img::GridLayout layout = provider.layout();
-  const WarmFilter warm(options.warm_start);
   StitchResult result(layout);
   OpCountsAtomic counts;
+  const std::vector<PairTask> pairs = pairs_in_closure_order(
+      layout, options.traversal, WarmFilter(options.warm_start));
+  const std::vector<std::size_t> refcounts = tile_refcounts(layout, pairs);
 
   const std::size_t h = provider.tile_height();
   const std::size_t w = provider.tile_width();
@@ -548,7 +578,7 @@ StitchResult run_gpu_sync(const ResourceSet& rs, const TileProvider& provider,
     if (it != states.end()) return it->second;
 
     TileState state;
-    state.refs = warm.degree(layout, pos);
+    state.refs = refcounts[index];
     state.tile = provider.load(pos);
     counts.bump(counts.tile_reads);
     // Synchronous H2D copy (the Simple-GPU pathology): convert on the host,
@@ -649,10 +679,7 @@ StitchResult run_gpu_sync(const ResourceSet& rs, const TileProvider& provider,
   // {"gpu0.default"}).
   WorkPool work(rs.steal_threshold, options.recorder);
   const std::size_t lane = work.add_lane("gpu0", WorkPool::Kind::kGpu);
-  for (const PairTask& task :
-       pairs_in_closure_order(layout, options.traversal, warm)) {
-    work.push(lane, task);
-  }
+  for (const PairTask& task : pairs) work.push(lane, task);
   work.close(lane);
 
   metrics::Gauge& busy = metrics::wellknown::sched_executor_busy("gpu0");
@@ -900,9 +927,9 @@ StitchResult run_gpu_async(const ResourceSet& rs, const TileProvider& provider,
   // events, so under p2p every group is one tile.
   const std::size_t group_k = use_p2p ? 1 : batch_k;
 
-  // Host-side FFT pipeline for pairs executed off the GPU fast path: CPU
-  // band workers and stolen pairs that find the device pools dry. Built
-  // lazily — plan setup is not free and pure-GPU runs never touch it.
+  // Host-side FFT pipeline for pairs executed off the GPU fast path: the
+  // CPU band's cache and pairs stolen from a GPU lane. Built lazily — plan
+  // setup is not free and pure-GPU runs never touch it.
   FftPipeline host_fftp;
   if (rs.cpu_workers > 0 || rs.steal_threshold > 0) {
     host_fftp = make_fft_pipeline(h, w, options.rigor, options.use_real_fft);
@@ -1030,12 +1057,21 @@ StitchResult run_gpu_async(const ResourceSet& rs, const TileProvider& provider,
       }
       if (layout.has_north(pos) && !warm.skip_north(pos)) {
         // North pairs on the band's first row reach into the last GPU
-        // band; the CPU worker loads both tiles itself (naive-style), so
-        // no cross-executor handoff is needed.
+        // band. The CPU band reads and transforms that halo row itself, so
+        // no cross-executor handoff is needed: the boundary row is
+        // transformed on both sides.
         cpu_pairs.push_back(
             PairTask{img::TilePos{r - 1, c}, pos, /*is_west=*/false});
       }
     }
+  }
+  // The band's tiles, halo row included, are read and transformed once
+  // each through the same cache MT-CPU uses, counted over exactly the
+  // band's pairs (a halo tile counts only its north pair).
+  std::unique_ptr<TransformCache> cpu_cache;
+  if (!cpu_pairs.empty()) {
+    cpu_cache = make_transform_cache(provider, host_fftp, counts, options,
+                                     tile_refcounts(layout, cpu_pairs));
   }
 
   WorkPool work(rs.steal_threshold, options.recorder);
@@ -1066,8 +1102,9 @@ StitchResult run_gpu_async(const ResourceSet& rs, const TileProvider& provider,
   // enters that lane after bookkeeping saw both forward FFTs complete, so
   // the victim's device buffers (host-visible in the virtual-GPU model)
   // already hold both spectra: the thief reuses them via pciam_from_spectra
-  // and no forward transform is repeated. A CPU-lane pair has no resident
-  // state anywhere and is computed naive-style from the tile files.
+  // and no forward transform is repeated. A CPU-lane pair runs through the
+  // CPU band's cache exactly as an MT-CPU worker would, whichever executor
+  // claimed it.
   auto host_pair = [&](const PairTask& task, GpuPipeline* victim,
                        PciamScratch& scratch) {
     HS_METRIC_TIMER(pair_latency);
@@ -1082,11 +1119,7 @@ StitchResult run_gpu_async(const ResourceSet& rs, const TileProvider& provider,
       release_tile(victim, layout, task.reference);
       release_tile(victim, layout, task.moved);
     } else {
-      const img::ImageU16 a = provider.load(task.reference);
-      const img::ImageU16 b = provider.load(task.moved);
-      counts.bump(counts.tile_reads, 2);
-      t = pciam_full(a, b, host_fftp, scratch, &counts,
-                     options.peak_candidates, options.min_overlap_px);
+      t = cached_pair(*cpu_cache, task, options, scratch, counts);
     }
     record_pair(result.table, options, task.moved, task.is_west, t);
   };
@@ -1495,7 +1528,8 @@ StitchResult run_gpu_async(const ResourceSet& rs, const TileProvider& provider,
     throw;
   }
 
-  std::size_t peak_total = 0;
+  std::size_t peak_total =
+      cpu_cache != nullptr ? cpu_cache->peak_live_transforms() : 0;
   for (const auto& gpu : gpus) {
     peak_total += gpu->peak.load(std::memory_order_relaxed);
   }
@@ -1601,6 +1635,12 @@ StitchResult HybridScheduler::run(const TileProvider& provider,
     throw InvalidArgument(
         "ResourceSet.prefetch_threads: prefetching warms the transform "
         "cache, which use_transform_cache = false removes");
+  }
+  if (!rs.use_transform_cache && rs.gpu_devices > 0) {
+    throw InvalidArgument(
+        "ResourceSet.use_transform_cache: only the CPU-only naive shape may "
+        "disable the cache; every GPU shape transforms each tile it reads "
+        "once");
   }
   if (rs.synchronous_gpu && (rs.gpu_devices != 1 || rs.cpu_workers != 0)) {
     throw InvalidArgument(

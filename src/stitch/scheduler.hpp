@@ -63,7 +63,8 @@ struct ResourceSet {
   /// use_transform_cache.
   std::size_t prefetch_threads = 0;
   /// Compute each tile's forward transform once and share it (every backend
-  /// except the Fiji-style naive baseline).
+  /// except the Fiji-style naive baseline). false is valid only on CPU-only
+  /// shapes (gpu_devices == 0): a hybrid CPU band always uses the cache.
   bool use_transform_cache = true;
   /// Virtual GPUs, one execution pipeline each. 0 = CPU-only.
   std::size_t gpu_devices = 0;

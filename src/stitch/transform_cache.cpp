@@ -6,7 +6,8 @@ namespace hs::stitch {
 
 TransformCache::TransformCache(const TileProvider& provider,
                                FftPipeline pipeline, OpCountsAtomic* counts,
-                               WarmFilter filter, SharedCacheBinding shared)
+                               std::vector<std::size_t> refcounts,
+                               SharedCacheBinding shared)
     : provider_(provider),
       layout_(provider.layout()),
       pipeline_(std::move(pipeline)),
@@ -18,10 +19,12 @@ TransformCache::TransformCache(const TileProvider& provider,
       metric_evictions_(metrics::wellknown::transform_cache_evictions()),
       metric_resident_bytes_(
           metrics::wellknown::transform_cache_resident_bytes()) {
+  HS_REQUIRE(refcounts.size() == layout_.tile_count(),
+             "TransformCache: one reference count per tile");
   entries_.reserve(layout_.tile_count());
-  for (std::size_t i = 0; i < layout_.tile_count(); ++i) {
+  for (const std::size_t refs : refcounts) {
     auto e = std::make_unique<Entry>();
-    e->refcount = filter.degree(layout_, layout_.pos_of(i));
+    e->refcount = refs;
     entries_.push_back(std::move(e));
   }
 }

@@ -4,7 +4,8 @@
 // displacements of its eastern, southern, western, and northern neighbors
 // were computed" and "every tile has a reference count that is decremented
 // when the tile is used to compute a relative displacement." Each tile entry
-// starts with a reference count equal to its degree in the pair graph;
+// starts with a reference count equal to the number of pairs the caller
+// will compute on it (its degree in the pair graph for a whole-grid run);
 // get() computes the transform (and loads the tile) on first use, and
 // release() frees both at zero. Thread-safe with per-entry compute-once
 // semantics so the SPMD implementation can share one cache across threads.
@@ -25,7 +26,6 @@
 
 #include "fft/plan2d.hpp"
 #include "metrics/metrics.hpp"
-#include "stitch/ledger.hpp"
 #include "stitch/opcounts.hpp"
 #include "stitch/pciam.hpp"
 #include "stitch/shared_cache.hpp"
@@ -35,17 +35,18 @@ namespace hs::stitch {
 
 class TransformCache {
  public:
-  /// `filter` shrinks each tile's initial reference count to its degree in
-  /// the remaining pair graph under a warm start; the default (no warm
-  /// table) yields the full pair_degree. Entries hold
-  /// pipeline.spectrum_count() bins — half-spectrum pipelines halve the
-  /// cache's footprint. `shared` optionally binds the run to a cross-job
-  /// content-addressed store (see shared_cache.hpp).
+  /// `refcounts`, indexed by layout.index_of, holds each tile's initial
+  /// reference count: the number of pairs the caller will compute on it
+  /// (pair_degree for a whole-grid run; fewer under a warm start or for a
+  /// band of the grid). A tile at zero is never read or transformed.
+  /// Entries hold pipeline.spectrum_count() bins — half-spectrum pipelines
+  /// halve the cache's footprint. `shared` optionally binds the run to a
+  /// cross-job content-addressed store (see shared_cache.hpp).
   TransformCache(const TileProvider& provider, FftPipeline pipeline,
-                 OpCountsAtomic* counts, WarmFilter filter = WarmFilter(),
+                 OpCountsAtomic* counts, std::vector<std::size_t> refcounts,
                  SharedCacheBinding shared = SharedCacheBinding());
 
-  /// The tile's degree in the pair graph (its initial reference count).
+  /// The tile's degree in the full pair graph.
   static std::size_t pair_degree(const img::GridLayout& layout,
                                  img::TilePos pos);
 
@@ -87,6 +88,9 @@ class TransformCache {
   }
   const FftPipeline& pipeline() const { return pipeline_; }
   const SharedCacheBinding& shared() const { return shared_; }
+  /// The dispatch tier captured at construction, part of every shared-store
+  /// key this run looks up.
+  common::SimdTier tier() const { return tier_; }
 
  private:
   struct Entry {

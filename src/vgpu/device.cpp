@@ -1,7 +1,6 @@
 #include "vgpu/device.hpp"
 
 #include <map>
-#include <vector>
 
 #include "common/error.hpp"
 #include "fault/plan.hpp"
@@ -11,16 +10,22 @@ namespace hs::vgpu {
 // First-fit free-list allocator over one contiguous arena, with coalescing
 // on free. Allocation patterns are pool-like (many equal-size transform
 // buffers), so fragmentation is negligible; what matters is the hard
-// capacity limit and accurate accounting.
+// capacity limit and accurate accounting. The storage is reserved, not
+// zeroed (as cudaMalloc reserves device memory): the OS commits only the
+// pages a buffer actually touches, so a large arena costs no more host
+// memory than the pools carved from it.
 struct Device::Arena {
-  std::vector<std::uint8_t> storage;
+  std::unique_ptr<std::uint8_t[]> storage;
+  std::size_t capacity = 0;
   std::mutex mutex;
   // offset -> length of each free block, keyed for coalescing.
   std::map<std::size_t, std::size_t> free_blocks;
   std::size_t allocated = 0;
   std::size_t allocations = 0;
 
-  explicit Arena(std::size_t bytes) : storage(bytes) {
+  explicit Arena(std::size_t bytes)
+      : storage(std::make_unique_for_overwrite<std::uint8_t[]>(bytes)),
+        capacity(bytes) {
     if (bytes > 0) free_blocks.emplace(0, bytes);
   }
 
@@ -37,18 +42,18 @@ struct Device::Arena {
       if (remain > 0) free_blocks.emplace(offset + need, remain);
       allocated += need;
       ++allocations;
-      return storage.data() + offset;
+      return storage.get() + offset;
     }
     throw OutOfDeviceMemory(
         device_name + ": cannot allocate " + std::to_string(bytes) +
         " bytes (" + std::to_string(allocated) + "/" +
-        std::to_string(storage.size()) + " in use)");
+        std::to_string(capacity) + " in use)");
   }
 
   void free(void* data, std::size_t bytes) {
     const std::size_t need = align_up(bytes);
     const auto offset = static_cast<std::size_t>(
-        static_cast<std::uint8_t*>(data) - storage.data());
+        static_cast<std::uint8_t*>(data) - storage.get());
     std::lock_guard<std::mutex> lock(mutex);
     HS_ASSERT_MSG(allocated >= need, "double free in device arena");
     allocated -= need;

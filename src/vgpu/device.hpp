@@ -37,7 +37,10 @@ namespace hs::vgpu {
 struct DeviceConfig {
   std::string name = "vTesla-C2070";
   /// Arena capacity. The real card had 6 GB; scaled-down experiments use
-  /// smaller arenas to exercise the same out-of-memory behaviour.
+  /// smaller arenas to exercise the same out-of-memory behaviour. The arena
+  /// is reserved, not zeroed: host memory is committed only for the pages
+  /// that buffers touch, and a fresh allocation's contents are unspecified,
+  /// as with cudaMalloc.
   std::size_t memory_bytes = 512ull << 20;
   /// Optional trace recorder; stream activity is recorded into lanes named
   /// "<trace_prefix>.<stream>".
@@ -100,6 +103,8 @@ class Device {
   Device& operator=(const Device&) = delete;
 
   /// Allocates from the arena; throws OutOfDeviceMemory when it cannot fit.
+  /// The buffer's contents are unspecified (as with cudaMalloc): they may
+  /// hold whatever an earlier buffer left there, so write before reading.
   DeviceBuffer alloc(std::size_t bytes);
 
   std::size_t capacity() const { return config_.memory_bytes; }

@@ -13,6 +13,7 @@
 #include "metrics/wellknown.hpp"
 #include "stitch/ledger.hpp"
 #include "stitch/scheduler.hpp"
+#include "stitch/shared_cache.hpp"
 #include "stitch/stitcher.hpp"
 #include "testing_providers.hpp"
 #include "trace/trace.hpp"
@@ -125,6 +126,17 @@ TEST(SchedulerValidation, RejectsBadResourceSets) {
   bad_sync.synchronous_gpu = true;
   EXPECT_THROW(HybridScheduler(bad_sync).run(provider, options),
                InvalidArgument);
+
+  // Only the CPU-only naive shape runs without the transform cache.
+  for (const std::size_t cpu_workers : {0ul, 2ul}) {
+    ResourceSet gpu_no_cache;
+    gpu_no_cache.cpu_workers = cpu_workers;
+    gpu_no_cache.gpu_devices = 1;
+    gpu_no_cache.use_transform_cache = false;
+    EXPECT_THROW(HybridScheduler(gpu_no_cache).run(provider, options),
+                 InvalidArgument)
+        << cpu_workers << " cpu workers";
+  }
 }
 
 TEST(SchedulerValidation, RequestRejectsBadKnobs) {
@@ -155,6 +167,26 @@ ResourceSet hybrid_set(std::size_t steal_threshold) {
   return rs;
 }
 
+/// Tiles the GPU bands read: each band's rows, halo row included.
+std::size_t gpu_band_tiles(const img::GridLayout& layout,
+                           const ResourceSet& rs) {
+  std::size_t rows = 0;
+  for (const RowBand& band : gpu_row_bands(layout, rs)) {
+    rows += band.row_end - band.first_row();
+  }
+  return rows * layout.cols;
+}
+
+/// Tiles a hybrid run reads, and transforms, when every executor transforms
+/// each tile it reads once: the GPU bands' tiles plus the CPU band's rows
+/// and its halo row (the boundary row is transformed on both sides).
+std::size_t hybrid_tiles(const img::GridLayout& layout, const ResourceSet& rs) {
+  const std::size_t cpu_begin = gpu_row_bands(layout, rs).back().row_end;
+  const std::size_t cpu_rows =
+      cpu_begin < layout.rows ? layout.rows - cpu_begin + 1 : 0;
+  return gpu_band_tiles(layout, rs) + cpu_rows * layout.cols;
+}
+
 TEST(HybridScheduling, CpuPlusGpuMatchesReferenceBitExactly) {
   for (const std::uint64_t seed : {7ull, 13ull, 29ull}) {
     const auto grid = make_grid(5, 3, seed);
@@ -164,10 +196,19 @@ TEST(HybridScheduling, CpuPlusGpuMatchesReferenceBitExactly) {
     for (const std::size_t batch : {1ul, 4ul}) {
       ResourceSet rs = hybrid_set(1);
       rs.gpu_batch_pairs = batch;
+      // Bands: gpu0 reads row 0, gpu1 rows 0-2 (halo 0), the CPU band rows
+      // 2-4 (halo 2): 7 rows of 3.
+      ASSERT_EQ(hybrid_tiles(grid.layout, rs), 21u);
       const StitchResult hybrid = stitch(rs, provider, fast_options());
       EXPECT_TRUE(tables_identical(reference.table, hybrid.table))
           << "seed " << seed << " batch " << batch;
       EXPECT_EQ(hybrid.backend_used, "hybrid");
+      // Each executor transforms each tile it reads once, whoever steals
+      // what: no tile is read or transformed twice on one side.
+      EXPECT_EQ(hybrid.ops.tile_reads, 21u)
+          << "seed " << seed << " batch " << batch;
+      EXPECT_EQ(hybrid.ops.forward_ffts, 21u)
+          << "seed " << seed << " batch " << batch;
     }
   }
 }
@@ -185,14 +226,41 @@ TEST(HybridScheduling, StealInterleavingsPreserveLedgerContents) {
   stitch(Backend::kSimpleCpu, provider, ref_options);
   const DisplacementTable reference = reference_ledger.snapshot();
 
+  const std::size_t tiles = hybrid_tiles(grid.layout, hybrid_set(1));
   for (int rep = 0; rep < 5; ++rep) {
     StitchOptions options = fast_options();
     PairLedger ledger(grid.layout);
     options.ledger = &ledger;
-    stitch(hybrid_set(1), provider, options);
+    const StitchResult result = stitch(hybrid_set(1), provider, options);
     EXPECT_TRUE(tables_identical(reference, ledger.snapshot()))
         << "rep " << rep;
+    // The work done is independent of the steal order too.
+    EXPECT_EQ(result.ops.tile_reads, tiles) << "rep " << rep;
+    EXPECT_EQ(result.ops.forward_ffts, tiles) << "rep " << rep;
   }
+}
+
+TEST(HybridScheduling, SharedCacheReplaysCpuBandPairs) {
+  // The hybrid CPU band binds the cross-job store exactly as MT-CPU does: a
+  // resubmit replays every CPU-band pair from the pair store, while the GPU
+  // bands still compute their spectra on device.
+  const auto grid = make_grid(5, 3, 31);
+  MemoryTileProvider provider(&grid.tiles, grid.layout);
+  const ResourceSet rs = hybrid_set(1);
+  SharedSpectrumCache shared;
+  StitchOptions options = fast_options();
+  options.shared_cache = &shared;
+
+  const StitchResult first = stitch(rs, provider, options);
+  const StitchResult second = stitch(rs, provider, options);
+  EXPECT_TRUE(tables_identical(first.table, second.table));
+  EXPECT_TRUE(tables_identical(
+      stitch(Backend::kSimpleCpu, provider, fast_options()).table,
+      first.table));
+  EXPECT_EQ(first.ops.forward_ffts, hybrid_tiles(grid.layout, rs));
+  EXPECT_EQ(second.ops.forward_ffts, gpu_band_tiles(grid.layout, rs));
+  // The CPU band still reads its tiles once each, to digest them.
+  EXPECT_EQ(second.ops.tile_reads, hybrid_tiles(grid.layout, rs));
 }
 
 TEST(HybridScheduling, StealDisabledKeepsLegacyBehaviorReachable) {

@@ -259,7 +259,8 @@ TEST(TransformCache, ComputesOnceAndFreesAtZero) {
   MemoryTileProvider provider(&grid.tiles, grid.layout);
   const auto pipeline = make_fft_pipeline(32, 32, fft::Rigor::kEstimate, false);
   OpCountsAtomic counts;
-  TransformCache cache(provider, pipeline, &counts);
+  // Every tile of a 2x2 grid is in two pairs.
+  TransformCache cache(provider, pipeline, &counts, {2, 2, 2, 2});
 
   const fft::Complex* first = cache.transform({0, 0});
   const fft::Complex* second = cache.transform({0, 0});
@@ -284,7 +285,7 @@ TEST(TransformCache, TileAccessibleWhileLive) {
   const auto grid = sim::make_synthetic_grid(acq);
   MemoryTileProvider provider(&grid.tiles, grid.layout);
   const auto pipeline = make_fft_pipeline(16, 16, fft::Rigor::kEstimate, false);
-  TransformCache cache(provider, pipeline, nullptr);
+  TransformCache cache(provider, pipeline, nullptr, {1, 1});
   cache.transform({0, 1});
   const img::ImageU16& tile = cache.tile({0, 1});
   EXPECT_EQ(tile.at(3, 3), grid.tile({0, 1}).at(3, 3));
@@ -302,7 +303,7 @@ TEST(TransformCache, HalfSpectrumHalvesPeakBytes) {
   auto peak_bytes = [&](bool real_fft) {
     const auto pipeline =
         make_fft_pipeline(32, 48, fft::Rigor::kEstimate, real_fft);
-    TransformCache cache(provider, pipeline, nullptr);
+    TransformCache cache(provider, pipeline, nullptr, {2, 3, 2, 2, 3, 2});
     for (std::size_t r = 0; r < 2; ++r) {
       for (std::size_t c = 0; c < 3; ++c) cache.transform({r, c});
     }

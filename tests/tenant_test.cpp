@@ -212,8 +212,13 @@ TEST(TransformCacheReleaseTest, TolerantAfterFailedCompute) {
 
   const std::int64_t resident_before =
       metrics::wellknown::transform_cache_resident_bytes().value();
+  std::vector<std::size_t> degrees;
+  for (std::size_t i = 0; i < grid.layout.tile_count(); ++i) {
+    degrees.push_back(
+        stitch::TransformCache::pair_degree(grid.layout, grid.layout.pos_of(i)));
+  }
   {
-    stitch::TransformCache cache(provider, pipeline, &counts);
+    stitch::TransformCache cache(provider, pipeline, &counts, degrees);
     EXPECT_THROW(cache.transform(poison), IoError);
     // Every consumer of the poisoned tile still releases its reference,
     // exactly as the quarantine path does after a failed pair. This used

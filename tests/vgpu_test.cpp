@@ -4,9 +4,12 @@
 
 #include <atomic>
 #include <chrono>
+#include <cstdint>
 #include <cstring>
+#include <fstream>
 #include <mutex>
 #include <numeric>
+#include <string>
 #include <thread>
 
 #include "common/rng.hpp"
@@ -100,6 +103,34 @@ TEST(Device, ConcurrentAllocFreeIsSafe) {
   EXPECT_EQ(failures.load(), 0);
   EXPECT_EQ(device.allocated(), 0u);
 }
+
+#ifdef __linux__
+/// This process's resident set size in bytes (VmRSS in /proc/self/status).
+std::int64_t resident_bytes() {
+  std::ifstream status("/proc/self/status");
+  std::string line;
+  while (std::getline(status, line)) {
+    if (line.rfind("VmRSS:", 0) == 0) {
+      return static_cast<std::int64_t>(std::stoull(line.substr(6))) * 1024;
+    }
+  }
+  return 0;
+}
+
+TEST(Device, ArenaCommitsOnlyTouchedPages) {
+  // Like cudaMalloc, constructing a device reserves its arena without
+  // committing it: host memory grows only by the pages buffers touch.
+  const std::int64_t before = resident_bytes();
+  ASSERT_GT(before, 0);
+  Device device(small_device(512));
+  DeviceBuffer buffer = device.alloc(1 << 20);
+  std::memset(buffer.data(), 0x5A, buffer.size());
+  const std::int64_t growth = resident_bytes() - before;
+  EXPECT_LT(growth, std::int64_t{64} << 20)
+      << "a 512 MiB arena with one 1 MiB buffer grew RSS by "
+      << (growth >> 20) << " MiB";
+}
+#endif
 
 // --- Streams and events --------------------------------------------------------
 
