@@ -87,11 +87,12 @@ void BM_Fft2d(benchmark::State& state) {
                           static_cast<std::int64_t>(h * w));
 }
 // 260x348 is the paper tile at 1/4 scale per side (same prime structure:
-// 348 = 2^2*3*29, 260 = 2^2*5*13); 256x256 the smooth reference;
-// 270x350 the padded target.
+// 348 = 2^2*3*29, 260 = 2^2*5*13); 520x696 the half-scale tile perfbench
+// stitches; 256x256 the smooth reference; 270x350 the padded target.
 BENCHMARK(BM_Fft2d)
     ->Args({256, 256})
     ->Args({260, 348})
+    ->Args({520, 696})
     ->Args({270, 350})->Repetitions(3);
 
 void BM_Fft2dRealToComplex(benchmark::State& state) {
@@ -109,7 +110,10 @@ void BM_Fft2dRealToComplex(benchmark::State& state) {
     benchmark::DoNotOptimize(out.data());
   }
 }
-BENCHMARK(BM_Fft2dRealToComplex)->Args({256, 256})->Args({260, 348})->Repetitions(3);
+BENCHMARK(BM_Fft2dRealToComplex)
+    ->Args({256, 256})
+    ->Args({260, 348})
+    ->Args({520, 696})->Repetitions(3);
 
 void BM_Fft2dComplexToReal(benchmark::State& state) {
   // Inverse leg of the half-spectrum pipeline: Hermitian bins back to a

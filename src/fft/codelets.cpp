@@ -9,9 +9,7 @@ namespace hs::fft::codelets {
 
 namespace detail {
 
-// These are the loop bodies plan1d.cpp / plan2d.cpp / real.cpp inlined
-// before the codelet split, verbatim: they are the bit-identity reference
-// every vector variant is tested against.
+// The bit-identity references every vector variant is tested against.
 
 void bf2_scalar(Complex* out, const Complex* tw, std::size_t m) {
   for (std::size_t k = 0; k < m; ++k) {
@@ -44,18 +42,63 @@ void bf4_scalar(Complex* out, const Complex* tw, std::size_t m, bool forward) {
 
 void bfr_scalar(Complex* out, const Complex* tw, const Complex* wr, int r,
                 std::size_t m) {
-  Complex t[kMaxDirectRadix + 1];
-  for (std::size_t k = 0; k < m; ++k) {
-    for (int j = 0; j < r; ++j) {
-      t[j] = out[static_cast<std::size_t>(j) * m + k] *
-             tw[static_cast<std::size_t>(j) * m + k];
-    }
-    for (int q = 0; q < r; ++q) {
-      Complex acc = t[0];
-      for (int j = 1; j < r; ++j) {
-        acc += t[j] * wr[static_cast<std::size_t>(j) * r + q];
+  bfr_scalar_from(out, tw, wr, r, m, 0);
+}
+
+void bfr_scalar_from(Complex* out, const Complex* tw, const Complex* wr, int r,
+                     std::size_t m, std::size_t k_begin) {
+  const auto at = [m](int j, std::size_t k) {
+    return static_cast<std::size_t>(j) * m + k;
+  };
+  if (r % 2 == 0) {
+    // Even composite radices (wisdom-only, e.g. 6 or 8): dense r x r product.
+    Complex t[kMaxDirectRadix + 1];
+    for (std::size_t k = k_begin; k < m; ++k) {
+      for (int j = 0; j < r; ++j) t[j] = out[at(j, k)] * tw[at(j, k)];
+      for (int q = 0; q < r; ++q) {
+        Complex acc = t[0];
+        for (int j = 1; j < r; ++j) {
+          acc += t[j] * wr[static_cast<std::size_t>(j) * r + q];
+        }
+        out[at(q, k)] = acc;
       }
-      out[static_cast<std::size_t>(q) * m + k] = acc;
+    }
+    return;
+  }
+  // Odd radix, conjugate-pair form. W^((r-j)q) = conj(W^(jq)), so with
+  // s_j = t_j + t_(r-j) and d_j = t_j - t_(r-j) (j = 1..h, h = (r-1)/2):
+  //   X_q     = a + i*b,  X_(r-q) = a - i*b,  where
+  //   a = t_0 + sum_j s_j * Re W^(jq),   b = sum_j d_j * Im W^(jq).
+  // Row 0 of tw is all ones, so t_0 skips its twiddle multiply.
+  const int h = r / 2;
+  Complex s[kMaxDirectRadix / 2 + 1];
+  Complex d[kMaxDirectRadix / 2 + 1];
+  for (std::size_t k = k_begin; k < m; ++k) {
+    const Complex t0 = out[k];
+    Complex sum = t0;
+    for (int j = 1; j <= h; ++j) {
+      const Complex lo = out[at(j, k)] * tw[at(j, k)];
+      const Complex hi = out[at(r - j, k)] * tw[at(r - j, k)];
+      s[j] = lo + hi;
+      d[j] = lo - hi;
+      sum += s[j];
+    }
+    out[k] = sum;
+    for (int q = 1; q <= h; ++q) {
+      const Complex w1 = wr[static_cast<std::size_t>(r) + q];
+      double are = t0.real() + s[1].real() * w1.real();
+      double aim = t0.imag() + s[1].imag() * w1.real();
+      double bre = d[1].real() * w1.imag();
+      double bim = d[1].imag() * w1.imag();
+      for (int j = 2; j <= h; ++j) {
+        const Complex w = wr[static_cast<std::size_t>(j) * r + q];
+        are = are + s[j].real() * w.real();
+        aim = aim + s[j].imag() * w.real();
+        bre = bre + d[j].real() * w.imag();
+        bim = bim + d[j].imag() * w.imag();
+      }
+      out[at(q, k)] = Complex(are - bim, aim + bre);
+      out[at(r - q, k)] = Complex(are + bim, aim - bre);
     }
   }
 }

@@ -5,8 +5,11 @@
 // loops this library actually spends time in:
 //   * bf2 / bf4 — the specialized radix-2/radix-4 DIT butterflies, twiddle
 //     application included.
-//   * bfr — the generic small-prime butterfly (radix <= kMaxDirectRadix),
-//     vectorized across the m contiguous sub-transform columns.
+//   * bfr — the generic butterfly (radix <= kMaxDirectRadix), vectorized
+//     across the m contiguous sub-transform columns. Odd radices run in
+//     conjugate-pair form (FFTW's generic-codelet symmetry, about a quarter
+//     of the dense r x r product's arithmetic); even composite radices,
+//     which only wisdom requests, keep the dense product.
 //   * transpose — the cache-blocked transpose both 2-D column passes run
 //     through.
 //   * r2c_untangle / c2r_retangle — the even/odd packing arithmetic of the
@@ -41,7 +44,8 @@ struct Set {
   /// Radix-4 combine; tw rows 1..3 hold the twiddles (row 0 is implied 1).
   void (*bf4)(Complex* out, const Complex* tw, std::size_t m, bool forward);
 
-  /// Generic radix-r combine; wr is the r x r DFT matrix of the radix.
+  /// Generic radix-r combine; wr is the r x r DFT matrix of the radix. Odd r
+  /// reads only rows 1..(r-1)/2 of wr, columns 1..(r-1)/2.
   void (*bfr)(Complex* out, const Complex* tw, const Complex* wr, int r,
               std::size_t m);
 

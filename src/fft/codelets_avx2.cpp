@@ -106,37 +106,66 @@ void bf4_avx2(Complex* out, const Complex* tw, std::size_t m, bool forward) {
 
 void bfr_avx2(Complex* out, const Complex* tw, const Complex* wr, int r,
               std::size_t m) {
-  __m256d t[kMaxDirectRadix + 1];
+  const auto at = [m](int j, std::size_t k) {
+    return static_cast<std::size_t>(j) * m + k;
+  };
   std::size_t k = 0;
-  for (; k + 2 <= m; k += 2) {
-    for (int j = 0; j < r; ++j) {
-      t[j] = cmul2(cload2(out + static_cast<std::size_t>(j) * m + k),
-                   cload2(tw + static_cast<std::size_t>(j) * m + k));
-    }
-    for (int q = 0; q < r; ++q) {
-      __m256d acc = t[0];
-      for (int j = 1; j < r; ++j) {
-        const __m256d w = _mm256_broadcast_pd(reinterpret_cast<const __m128d*>(
-            wr + static_cast<std::size_t>(j) * r + q));
-        acc = _mm256_add_pd(acc, cmul2(t[j], w));
+  if (r % 2 == 0) {
+    __m256d t[kMaxDirectRadix + 1];
+    for (; k + 2 <= m; k += 2) {
+      for (int j = 0; j < r; ++j) {
+        t[j] = cmul2(cload2(out + at(j, k)), cload2(tw + at(j, k)));
       }
-      cstore2(out + static_cast<std::size_t>(q) * m + k, acc);
+      for (int q = 0; q < r; ++q) {
+        __m256d acc = t[0];
+        for (int j = 1; j < r; ++j) {
+          const __m256d w =
+              _mm256_broadcast_pd(reinterpret_cast<const __m128d*>(
+                  wr + static_cast<std::size_t>(j) * r + q));
+          acc = _mm256_add_pd(acc, cmul2(t[j], w));
+        }
+        cstore2(out + at(q, k), acc);
+      }
+    }
+  } else {
+    // Odd radix: the conjugate-pair form of bfr_scalar_from, two columns
+    // per register. Re/Im of W^(jq) are broadcast to all four lanes.
+    const int h = r / 2;
+    const double* w = reinterpret_cast<const double*>(wr);
+    const __m256d neg_re = _mm256_set_pd(0.0, -0.0, 0.0, -0.0);
+    __m256d s[kMaxDirectRadix / 2 + 1];
+    __m256d d[kMaxDirectRadix / 2 + 1];
+    for (; k + 2 <= m; k += 2) {
+      const __m256d t0 = cload2(out + k);
+      __m256d sum = t0;
+      for (int j = 1; j <= h; ++j) {
+        const __m256d lo = cmul2(cload2(out + at(j, k)), cload2(tw + at(j, k)));
+        const __m256d hi =
+            cmul2(cload2(out + at(r - j, k)), cload2(tw + at(r - j, k)));
+        s[j] = _mm256_add_pd(lo, hi);
+        d[j] = _mm256_sub_pd(lo, hi);
+        sum = _mm256_add_pd(sum, s[j]);
+      }
+      cstore2(out + k, sum);
+      for (int q = 1; q <= h; ++q) {
+        const double* w1 = w + 2 * (static_cast<std::size_t>(r) + q);
+        __m256d a =
+            _mm256_add_pd(t0, _mm256_mul_pd(s[1], _mm256_broadcast_sd(w1)));
+        __m256d b = _mm256_mul_pd(d[1], _mm256_broadcast_sd(w1 + 1));
+        for (int j = 2; j <= h; ++j) {
+          const double* wj = w + 2 * (static_cast<std::size_t>(j) * r + q);
+          a = _mm256_add_pd(a, _mm256_mul_pd(s[j], _mm256_broadcast_sd(wj)));
+          b = _mm256_add_pd(b,
+                            _mm256_mul_pd(d[j], _mm256_broadcast_sd(wj + 1)));
+        }
+        // i*b = (-b.im, b.re); a + i*b and a - i*b are the scalar sums.
+        const __m256d ib = _mm256_xor_pd(_mm256_permute_pd(b, 0x5), neg_re);
+        cstore2(out + at(q, k), _mm256_add_pd(a, ib));
+        cstore2(out + at(r - q, k), _mm256_sub_pd(a, ib));
+      }
     }
   }
-  if (k < m) {
-    Complex ts[kMaxDirectRadix + 1];
-    for (int j = 0; j < r; ++j) {
-      ts[j] = out[static_cast<std::size_t>(j) * m + k] *
-              tw[static_cast<std::size_t>(j) * m + k];
-    }
-    for (int q = 0; q < r; ++q) {
-      Complex acc = ts[0];
-      for (int j = 1; j < r; ++j) {
-        acc += ts[j] * wr[static_cast<std::size_t>(j) * r + q];
-      }
-      out[static_cast<std::size_t>(q) * m + k] = acc;
-    }
-  }
+  bfr_scalar_from(out, tw, wr, r, m, k);
 }
 
 void transpose_avx2(const Complex* in, Complex* out, std::size_t rows,

@@ -8,11 +8,15 @@
 
 namespace hs::fft::codelets::detail {
 
-// codelets.cpp — scalar references (exact copies of the pre-codelet loops).
+// codelets.cpp — scalar references.
 void bf2_scalar(Complex* out, const Complex* tw, std::size_t m);
 void bf4_scalar(Complex* out, const Complex* tw, std::size_t m, bool forward);
 void bfr_scalar(Complex* out, const Complex* tw, const Complex* wr, int r,
                 std::size_t m);
+// bfr_scalar over columns [k_begin, m) only: the vector variants finish
+// their scalar tails through it.
+void bfr_scalar_from(Complex* out, const Complex* tw, const Complex* wr, int r,
+                     std::size_t m, std::size_t k_begin);
 void transpose_scalar(const Complex* in, Complex* out, std::size_t rows,
                       std::size_t cols);
 void r2c_untangle_scalar(const Complex* zf, const Complex* tw, Complex* out,

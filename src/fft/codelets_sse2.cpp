@@ -77,19 +77,58 @@ void bf4_sse2(Complex* out, const Complex* tw, std::size_t m, bool forward) {
 
 void bfr_sse2(Complex* out, const Complex* tw, const Complex* wr, int r,
               std::size_t m) {
-  __m128d t[kMaxDirectRadix + 1];
-  for (std::size_t k = 0; k < m; ++k) {
-    for (int j = 0; j < r; ++j) {
-      t[j] = cmul(cload(out + static_cast<std::size_t>(j) * m + k),
-                  cload(tw + static_cast<std::size_t>(j) * m + k));
-    }
-    for (int q = 0; q < r; ++q) {
-      __m128d acc = t[0];
-      for (int j = 1; j < r; ++j) {
-        acc = _mm_add_pd(
-            acc, cmul(t[j], cload(wr + static_cast<std::size_t>(j) * r + q)));
+  const auto at = [m](int j, std::size_t k) {
+    return static_cast<std::size_t>(j) * m + k;
+  };
+  if (r % 2 == 0) {
+    __m128d t[kMaxDirectRadix + 1];
+    for (std::size_t k = 0; k < m; ++k) {
+      for (int j = 0; j < r; ++j) {
+        t[j] = cmul(cload(out + at(j, k)), cload(tw + at(j, k)));
       }
-      cstore(out + static_cast<std::size_t>(q) * m + k, acc);
+      for (int q = 0; q < r; ++q) {
+        __m128d acc = t[0];
+        for (int j = 1; j < r; ++j) {
+          acc = _mm_add_pd(
+              acc, cmul(t[j], cload(wr + static_cast<std::size_t>(j) * r + q)));
+        }
+        cstore(out + at(q, k), acc);
+      }
+    }
+    return;
+  }
+  // Odd radix: the conjugate-pair form of bfr_scalar_from. The Re/Im parts
+  // of W^(jq) are broadcast, so a and b are lane-wise real-by-complex sums.
+  const int h = r / 2;
+  const double* w = reinterpret_cast<const double*>(wr);
+  __m128d s[kMaxDirectRadix / 2 + 1];
+  __m128d d[kMaxDirectRadix / 2 + 1];
+  for (std::size_t k = 0; k < m; ++k) {
+    const __m128d t0 = cload(out + k);
+    __m128d sum = t0;
+    for (int j = 1; j <= h; ++j) {
+      const __m128d lo = cmul(cload(out + at(j, k)), cload(tw + at(j, k)));
+      const __m128d hi =
+          cmul(cload(out + at(r - j, k)), cload(tw + at(r - j, k)));
+      s[j] = _mm_add_pd(lo, hi);
+      d[j] = _mm_sub_pd(lo, hi);
+      sum = _mm_add_pd(sum, s[j]);
+    }
+    cstore(out + k, sum);
+    for (int q = 1; q <= h; ++q) {
+      const double* w1 = w + 2 * (static_cast<std::size_t>(r) + q);
+      __m128d a = _mm_add_pd(t0, _mm_mul_pd(s[1], _mm_load1_pd(w1)));
+      __m128d b = _mm_mul_pd(d[1], _mm_load1_pd(w1 + 1));
+      for (int j = 2; j <= h; ++j) {
+        const double* wj = w + 2 * (static_cast<std::size_t>(j) * r + q);
+        a = _mm_add_pd(a, _mm_mul_pd(s[j], _mm_load1_pd(wj)));
+        b = _mm_add_pd(b, _mm_mul_pd(d[j], _mm_load1_pd(wj + 1)));
+      }
+      // i*b = (-b.im, b.re); a + i*b and a - i*b are the scalar sums.
+      const __m128d ib =
+          _mm_xor_pd(_mm_shuffle_pd(b, b, 0x1), _mm_set_pd(0.0, -0.0));
+      cstore(out + at(q, k), _mm_add_pd(a, ib));
+      cstore(out + at(r - q, k), _mm_sub_pd(a, ib));
     }
   }
 }

@@ -178,10 +178,22 @@ std::vector<std::vector<int>> candidate_orders(const std::vector<int>& primes,
   if (twos % 2 == 1) with_fours.push_back(2);
   with_fours.insert(with_fours.end(), merged.begin(), merged.end());
 
+  // Heuristic default: largest radix outermost — odd radices descending,
+  // then the leftover 2, then the 4s. Depth d's butterflies run over
+  // n / (r_0 * ... * r_d) columns, so the odd (costliest) radices get the
+  // widest column runs and the vector codelet bodies instead of the scalar
+  // tail that m = 1 falls to.
+  std::vector<int> outermost(merged.rbegin(), merged.rend());
+  if (twos % 2 == 1) outermost.push_back(2);
+  for (int i = 0; i + 1 < twos; i += 2) outermost.push_back(4);
+
   std::vector<std::vector<int>> candidates;
-  // Heuristic default: radix-4 passes first, then ascending odd radices.
-  candidates.push_back(with_fours);
+  candidates.push_back(outermost);
   if (rigor == Rigor::kEstimate) return candidates;
+
+  // Measured rigors also time the 4s-first, odd-ascending ordering, so a
+  // measured plan is never slower than that ordering either.
+  candidates.push_back(with_fours);
 
   // Pure radix-2 ordering (no merged fours).
   std::vector<int> pure;

@@ -3,8 +3,15 @@
 // Strategy selection:
 //   * n whose prime factors are all <= kMaxDirectRadix runs a recursive
 //     decimation-in-time mixed-radix kernel with per-depth precomputed
-//     twiddle tables (specialized radix-2/4 butterflies, generic small-prime
-//     DFT otherwise).
+//     twiddle tables (specialized radix-2/4 butterflies; a conjugate-pair
+//     odd-radix butterfly otherwise).
+//   * Outermost-radix rule: kEstimate orders the largest radix outermost —
+//     odd radices descending, then a leftover 2, then the 4s (696 ->
+//     [29 3 2 4], 520 -> [13 5 2 4]). The radix at depth d runs over
+//     n / (r_0 * ... * r_d) columns, so this gives the costliest butterflies
+//     the widest column runs, where the vector codelets apply. kMeasure and
+//     kPatient also time the 4s-first, odd-ascending ordering (and more),
+//     so a measured plan is never slower than that ordering.
 //   * n with a larger prime factor falls back to Bluestein's chirp-z
 //     algorithm over a power-of-two transform of length >= 2n-1. This is
 //     exactly the regime the paper's 1392x1040 microscope tiles flirt with

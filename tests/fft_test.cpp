@@ -119,7 +119,13 @@ INSTANTIATE_TEST_SUITE_P(
                       100, 101, 128, 143,  // 143 = 11*13
                       174,                 // 174 = 2*3*29 (1392's odd part)
                       210, 251,            // 251: Bluestein
-                      256, 260, 347, 512, 520, 1040, 1392));
+                      256, 260, 347, 512, 520, 1040, 1392,
+                      // Every odd prime radix alone (m = 1) ...
+                      11, 17, 19, 23, 31,
+                      // ... and planned outermost over m >= 2 columns:
+                      // 44 = [11 4], 34 = [17 2], 38 = [19 2],
+                      // 46 = [23 2], 62 = [31 2], 93 = [31 3].
+                      34, 38, 44, 46, 62, 93));
 
 // --- algebraic properties ----------------------------------------------------
 

@@ -299,33 +299,58 @@ TEST(SimdKernels, PaddedWideningMatchesRowByRowReference) {
 
 // --- FFT plan bit-identity ------------------------------------------------
 
-TEST(SimdFft, Plan1dBitIdenticalAcrossTiers) {
-  for (const std::size_t n : {std::size_t{29}, std::size_t{240},
-                              std::size_t{256}, std::size_t{1041},
-                              std::size_t{1391}}) {
-    const auto x = random_spectrum(n, n);
-    for (const auto dir : {Direction::kForward, Direction::kInverse}) {
-      std::vector<Complex> expect(n);
-      {
-        ScopedKernelDispatch forced(KernelDispatch::kScalar);
-        fft::Plan1d plan(n, dir);
-        EXPECT_EQ(plan.simd_tier(), SimdTier::kScalar);
-        plan.execute(x.data(), expect.data());
-      }
-      for (const auto tier : kForcedTiers) {
-        ScopedKernelDispatch forced(tier);
-        fft::Plan1d plan(n, dir);
-        std::vector<Complex> got(n);
-        plan.execute(x.data(), got.data());
-        for (std::size_t i = 0; i < n; ++i) {
-          EXPECT_EQ(expect[i].real(), got[i].real())
-              << "n=" << n << " i=" << i << " " << common::dispatch_name(tier);
-          EXPECT_EQ(expect[i].imag(), got[i].imag())
-              << "n=" << n << " i=" << i << " " << common::dispatch_name(tier);
-        }
+// Plans n in both directions under every forced tier and checks each
+// output bit-identical to the scalar tier's.
+void expect_plan1d_identical_across_tiers(std::size_t n) {
+  const auto x = random_spectrum(n, n);
+  for (const auto dir : {Direction::kForward, Direction::kInverse}) {
+    std::vector<Complex> expect(n);
+    {
+      ScopedKernelDispatch forced(KernelDispatch::kScalar);
+      fft::Plan1d plan(n, dir);
+      EXPECT_EQ(plan.simd_tier(), SimdTier::kScalar);
+      plan.execute(x.data(), expect.data());
+    }
+    for (const auto tier : kForcedTiers) {
+      ScopedKernelDispatch forced(tier);
+      fft::Plan1d plan(n, dir);
+      std::vector<Complex> got(n);
+      plan.execute(x.data(), got.data());
+      for (std::size_t i = 0; i < n; ++i) {
+        EXPECT_EQ(expect[i].real(), got[i].real())
+            << "n=" << n << " i=" << i << " " << common::dispatch_name(tier);
+        EXPECT_EQ(expect[i].imag(), got[i].imag())
+            << "n=" << n << " i=" << i << " " << common::dispatch_name(tier);
       }
     }
   }
+}
+
+TEST(SimdFft, Plan1dBitIdenticalAcrossTiers) {
+  // 87 = [29 3] runs radix 29 over m = 3 columns: one vector step plus a
+  // scalar tail. 93 = [31 3] does the same for radix 31; the paper-shaped
+  // lengths (260/348, 520/696, 1040/1392) put 13 and 29 outermost.
+  for (const std::size_t n :
+       {std::size_t{29}, std::size_t{240}, std::size_t{256}, std::size_t{1041},
+        std::size_t{1391}, std::size_t{87}, std::size_t{93}, std::size_t{260},
+        std::size_t{348}, std::size_t{520}, std::size_t{696},
+        std::size_t{1040}, std::size_t{1392}}) {
+    expect_plan1d_identical_across_tiers(n);
+  }
+}
+
+TEST(SimdFft, WisdomEvenRadixPlanBitIdenticalAcrossTiers) {
+  // Even composite radices reach bfr only through wisdom; they keep the
+  // dense r x r product in every tier.
+  fft::wisdom_clear();
+  fft::wisdom_remember(240, Direction::kForward, {8, 6, 5});
+  fft::wisdom_remember(240, Direction::kInverse, {8, 6, 5});
+  {
+    fft::Plan1d plan(240, Direction::kForward);
+    EXPECT_EQ(plan.factors(), (std::vector<int>{8, 6, 5}));
+  }
+  expect_plan1d_identical_across_tiers(240);
+  fft::wisdom_clear();
 }
 
 TEST(SimdFft, Plan2dBitIdenticalAcrossTiers) {
@@ -352,7 +377,8 @@ TEST(SimdFft, Plan2dBitIdenticalAcrossTiers) {
 TEST(SimdFft, RealTransformsBitIdenticalAcrossTiers) {
   for (const auto& [h, w] : {std::pair<std::size_t, std::size_t>{26, 34},
                             {29, 37},   // odd width: untangle fallback
-                            {30, 58}}) {
+                            {30, 58},
+                            {520, 696}}) {  // perfbench's half-scale tile
     Rng rng(h * 100 + w);
     std::vector<double> x(h * w);
     for (auto& v : x) v = rng.normal();
