@@ -4,15 +4,20 @@
 // the real-compute harnesses.
 #include <benchmark/benchmark.h>
 
+#include <unistd.h>
+
 #include <cstdio>
+#include <filesystem>
 #include <map>
 #include <string>
 #include <vector>
 
+#include "common/crc32c.hpp"
 #include "common/rng.hpp"
 #include "common/simd.hpp"
 #include "gbench_json.hpp"
 #include "imgio/image.hpp"
+#include "imgio/tiff.hpp"
 #include "stitch/ccf.hpp"
 #include "stitch/cli_flags.hpp"
 #include "vgpu/kernels.hpp"
@@ -193,6 +198,51 @@ BENCHMARK(BM_U16ToRealDispatch)
     ->Arg(static_cast<int>(hs::common::KernelDispatch::kAuto))
     ->Repetitions(3);
 
+// --- the read stage and the integrity checksum at the perfbench tile size
+// (520x696): read_tiff_u16 over a page-cached file, and crc32c, which the
+// shared cache runs over every tile's bytes (tile_content_digest). The
+// CRC's auto-vs-scalar ratio falls to ~1.0 if the hardware body silently
+// falls back to the table loop.
+
+void BM_Crc32cDispatch(benchmark::State& state) {
+  const auto dispatch =
+      static_cast<hs::common::KernelDispatch>(state.range(0));
+  hs::common::ScopedKernelDispatch forced(dispatch);
+  const auto tile = random_tile(520, 696);
+  const std::size_t bytes = tile.pixel_count() * sizeof(std::uint16_t);
+  for (auto _ : state) {
+    const std::uint32_t crc = hs::crc32c(tile.data(), bytes);
+    benchmark::DoNotOptimize(crc);
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(bytes));
+  state.SetLabel(
+      hs::common::tier_name(hs::common::resolve_dispatch(dispatch)));
+}
+BENCHMARK(BM_Crc32cDispatch)
+    ->Arg(static_cast<int>(hs::common::KernelDispatch::kScalar))
+    ->Arg(static_cast<int>(hs::common::KernelDispatch::kAuto))
+    ->Repetitions(3);
+
+void BM_ReadTiffU16(benchmark::State& state) {
+  const auto h = static_cast<std::size_t>(state.range(0));
+  const auto w = static_cast<std::size_t>(state.range(1));
+  const std::string path =
+      (std::filesystem::temp_directory_path() /
+       ("hs_bench_kernels_" + std::to_string(::getpid()) + ".tif"))
+          .string();
+  hs::img::write_tiff_u16(path, random_tile(h, w));
+  (void)hs::img::read_tiff_u16(path);  // page-cache the file before timing
+  for (auto _ : state) {
+    const auto image = hs::img::read_tiff_u16(path);
+    benchmark::DoNotOptimize(image.data());
+  }
+  std::filesystem::remove(path);
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(h * w * 2));
+}
+BENCHMARK(BM_ReadTiffU16)->Args({520, 696})->Repetitions(3);
+
 }  // namespace
 
 // Custom main (see bench_fft.cpp): console output plus the
@@ -222,6 +272,8 @@ int main(int argc, char** argv) {
         "BM_MaxAbsDispatch/-1");
   ratio("u16_to_real_auto_over_scalar_speedup", "BM_U16ToRealDispatch/0",
         "BM_U16ToRealDispatch/-1");
+  ratio("crc32c_auto_over_scalar_speedup", "BM_Crc32cDispatch/0",
+        "BM_Crc32cDispatch/-1");
 
   if (!json_out.empty() && !rows.empty()) {
     if (!hs::benchjson::write_json(json_out, "kernels", rows, derived)) {

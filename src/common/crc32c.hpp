@@ -4,9 +4,14 @@
 // for short records and it is the checksum ext4/Btrfs journals use, so the
 // on-disk format matches what filesystem tooling expects to see.
 //
-// Software slice-by-one implementation: the journal writes kilobytes per
-// job, not gigabytes, so table lookups are plenty and the code stays
-// dependency-free and portable.
+// It is also on the hot path: the shared cache hashes every tile of every
+// job (tile_content_digest), and spill frames carry megabytes of spectrum.
+// On x86-64 CPUs with SSE4.2 the CRC32 instruction does the work eight
+// bytes per step (crc32c_sse42.cpp). The one-table loop stays as the
+// portable reference and runs whenever the active SIMD tier is scalar
+// (HS_KERNEL_DISPATCH=scalar, ScopedKernelDispatch). Both bodies return
+// the same value for every input, so checksums on disk never depend on
+// the body that wrote them.
 #pragma once
 
 #include <cstddef>

@@ -1,7 +1,11 @@
 #include "imgio/pnm.hpp"
 
+#include <algorithm>
 #include <cctype>
 #include <fstream>
+#include <limits>
+
+#include "common/file.hpp"
 
 namespace hs::img {
 
@@ -12,24 +16,37 @@ void write_header(std::ofstream& file, const char* magic, std::size_t width,
   file << magic << "\n" << width << " " << height << "\n" << maxval << "\n";
 }
 
-/// Skips whitespace and '#' comments, then reads one unsigned integer.
-std::size_t read_token(std::istream& in, const std::string& path) {
-  int c = in.get();
-  while (c != EOF) {
-    if (c == '#') {
-      while (c != EOF && c != '\n') c = in.get();
-    } else if (std::isspace(c)) {
-      c = in.get();
+/// Skips whitespace and '#' comments from `*pos`, then reads one unsigned
+/// integer and consumes the single character after it. A value that does
+/// not fit in size_t is malformed, not wrapped.
+std::size_t read_token(const std::string& bytes, std::size_t* pos,
+                       const std::string& path) {
+  const auto ch = [&bytes](std::size_t i) {
+    return static_cast<unsigned char>(bytes[i]);
+  };
+  std::size_t i = *pos;
+  while (i < bytes.size()) {
+    if (ch(i) == '#') {
+      while (i < bytes.size() && ch(i) != '\n') ++i;
+    } else if (std::isspace(ch(i))) {
+      ++i;
     } else {
       break;
     }
   }
-  if (c == EOF || !std::isdigit(c)) throw IoError("malformed PGM: " + path);
-  std::size_t value = 0;
-  while (c != EOF && std::isdigit(c)) {
-    value = value * 10 + static_cast<std::size_t>(c - '0');
-    c = in.get();
+  if (i == bytes.size() || !std::isdigit(ch(i))) {
+    throw IoError("malformed PGM: " + path);
   }
+  constexpr std::size_t kMax = std::numeric_limits<std::size_t>::max();
+  std::size_t value = 0;
+  for (; i < bytes.size() && std::isdigit(ch(i)); ++i) {
+    const auto digit = static_cast<std::size_t>(ch(i) - '0');
+    if (value > (kMax - digit) / 10) {
+      throw IoError("malformed PGM (number too large): " + path);
+    }
+    value = value * 10 + digit;
+  }
+  *pos = std::min(i + 1, bytes.size());
   return value;
 }
 
@@ -62,24 +79,26 @@ void write_pgm_u8(const std::string& path, const ImageU8& image) {
 }
 
 ImageU16 read_pgm_u16(const std::string& path) {
-  std::ifstream file(path, std::ios::binary);
-  if (!file) throw IoError("cannot open PGM file: " + path);
-  char m0 = 0, m1 = 0;
-  file.get(m0).get(m1);
-  if (m0 != 'P' || m1 != '5') throw IoError("not a binary PGM: " + path);
-  const std::size_t width = read_token(file, path);
-  const std::size_t height = read_token(file, path);
-  const std::size_t maxval = read_token(file, path);
+  std::string bytes;
+  if (!read_file(path, &bytes)) throw IoError("cannot open PGM file: " + path);
+  if (bytes.size() < 2 || bytes[0] != 'P' || bytes[1] != '5') {
+    throw IoError("not a binary PGM: " + path);
+  }
+  std::size_t pos = 2;
+  const std::size_t width = read_token(bytes, &pos, path);
+  const std::size_t height = read_token(bytes, &pos, path);
+  const std::size_t maxval = read_token(bytes, &pos, path);
   if (maxval == 0 || maxval > 65535) throw IoError("bad PGM maxval: " + path);
 
-  ImageU16 out(height, width);
+  // The declared extents must fit in the bytes after the header before
+  // anything is allocated. The division form cannot overflow.
   const bool wide = maxval > 255;
-  std::vector<std::uint8_t> raw(width * height * (wide ? 2 : 1));
-  file.read(reinterpret_cast<char*>(raw.data()),
-            static_cast<std::streamsize>(raw.size()));
-  if (file.gcount() != static_cast<std::streamsize>(raw.size())) {
+  const std::size_t sample_bytes = wide ? 2 : 1;
+  if (height != 0 && width > (bytes.size() - pos) / sample_bytes / height) {
     throw IoError("truncated PGM: " + path);
   }
+  ImageU16 out(height, width);
+  const auto* raw = reinterpret_cast<const std::uint8_t*>(bytes.data() + pos);
   // Samples at the two canonical depths (maxval 255 / 65535) are stored
   // verbatim; any other maxval (e.g. 10-bit cameras writing 1023) is rescaled
   // to the full 16-bit range so downstream NCC sees consistent intensities.

@@ -1,11 +1,14 @@
 #include "imgio/tiff.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cstring>
 #include <fstream>
 #include <map>
 #include <unordered_set>
 #include <vector>
+
+#include "common/file.hpp"
 
 namespace hs::img {
 
@@ -32,33 +35,32 @@ enum : std::uint16_t {
 
 class Reader {
  public:
-  Reader(std::vector<std::uint8_t> bytes, std::string path)
+  Reader(std::string bytes, std::string path)
       : bytes_(std::move(bytes)), path_(std::move(path)) {}
 
   std::uint16_t u16(std::size_t off) const {
-    check(off, 2);
-    return big_endian_
-               ? static_cast<std::uint16_t>((bytes_[off] << 8) | bytes_[off + 1])
-               : static_cast<std::uint16_t>(bytes_[off] | (bytes_[off + 1] << 8));
+    const std::uint8_t* b = at(off, 2);
+    return big_endian_ ? static_cast<std::uint16_t>((b[0] << 8) | b[1])
+                       : static_cast<std::uint16_t>(b[0] | (b[1] << 8));
   }
 
   std::uint32_t u32(std::size_t off) const {
-    check(off, 4);
+    const std::uint8_t* b = at(off, 4);
     if (big_endian_) {
-      return (static_cast<std::uint32_t>(bytes_[off]) << 24) |
-             (static_cast<std::uint32_t>(bytes_[off + 1]) << 16) |
-             (static_cast<std::uint32_t>(bytes_[off + 2]) << 8) |
-             static_cast<std::uint32_t>(bytes_[off + 3]);
+      return (static_cast<std::uint32_t>(b[0]) << 24) |
+             (static_cast<std::uint32_t>(b[1]) << 16) |
+             (static_cast<std::uint32_t>(b[2]) << 8) |
+             static_cast<std::uint32_t>(b[3]);
     }
-    return static_cast<std::uint32_t>(bytes_[off]) |
-           (static_cast<std::uint32_t>(bytes_[off + 1]) << 8) |
-           (static_cast<std::uint32_t>(bytes_[off + 2]) << 16) |
-           (static_cast<std::uint32_t>(bytes_[off + 3]) << 24);
+    return static_cast<std::uint32_t>(b[0]) |
+           (static_cast<std::uint32_t>(b[1]) << 8) |
+           (static_cast<std::uint32_t>(b[2]) << 16) |
+           (static_cast<std::uint32_t>(b[3]) << 24);
   }
 
   const std::uint8_t* at(std::size_t off, std::size_t len) const {
     check(off, len);
-    return bytes_.data() + off;
+    return reinterpret_cast<const std::uint8_t*>(bytes_.data()) + off;
   }
 
   void set_big_endian(bool value) { big_endian_ = value; }
@@ -76,7 +78,7 @@ class Reader {
       fail("truncated file (offset past end)");
     }
   }
-  std::vector<std::uint8_t> bytes_;
+  std::string bytes_;
   std::string path_;
   bool big_endian_ = false;
 };
@@ -112,10 +114,8 @@ std::uint32_t entry_value(const Reader& r, const IfdEntry& e, std::uint32_t i) {
 }  // namespace
 
 ImageU16 read_tiff_u16(const std::string& path, TiffInfo* info) {
-  std::ifstream file(path, std::ios::binary);
-  if (!file) throw IoError("cannot open TIFF file: " + path);
-  std::vector<std::uint8_t> bytes((std::istreambuf_iterator<char>(file)),
-                                  std::istreambuf_iterator<char>());
+  std::string bytes;
+  if (!read_file(path, &bytes)) throw IoError("cannot open TIFF file: " + path);
   Reader r(std::move(bytes), path);
   if (r.size() < 8) r.fail("too small for a header");
 
@@ -191,31 +191,42 @@ ImageU16 read_tiff_u16(const std::string& path, TiffInfo* info) {
     r.fail("strip offset/count arrays disagree");
   }
 
+  // The declared extents must fit in the file before anything is allocated.
+  // The division form cannot overflow, however large the IFD's values.
   const std::size_t bytes_per_pixel = bits / 8;
+  if (width > r.size() / bytes_per_pixel / height) {
+    r.fail("image extents exceed the file size");
+  }
   const std::size_t expected = width * height * bytes_per_pixel;
-  std::vector<std::uint8_t> raster;
-  raster.reserve(expected);
+
+  // Strips concatenate, in order, into the raster; each is decoded straight
+  // into the image. A 16-bit sample may straddle two strips (the byte copy
+  // does not care), and strip bytes past the raster are ignored, though
+  // every strip must still lie inside the file.
+  ImageU16 out(height, width);
+  auto* raster = reinterpret_cast<std::uint8_t*>(out.data());
+  std::size_t filled = 0;
   for (std::uint32_t s = 0; s < offsets.count; ++s) {
     const std::uint32_t off = entry_value(r, offsets, s);
     const std::uint32_t len = entry_value(r, counts, s);
     const std::uint8_t* src = r.at(off, len);
-    raster.insert(raster.end(), src, src + len);
-  }
-  if (raster.size() < expected) r.fail("pixel data shorter than image");
-
-  ImageU16 out(height, width);
-  if (bits == 16) {
-    for (std::size_t i = 0; i < width * height; ++i) {
-      const std::uint8_t lo = raster[2 * i];
-      const std::uint8_t hi = raster[2 * i + 1];
-      out.data()[i] = r.big_endian()
-                          ? static_cast<std::uint16_t>((lo << 8) | hi)
-                          : static_cast<std::uint16_t>(lo | (hi << 8));
-    }
-  } else {
-    for (std::size_t i = 0; i < width * height; ++i) {
+    const std::size_t take = std::min<std::size_t>(len, expected - filled);
+    if (bits == 16) {
+      std::memcpy(raster + filled, src, take);
+    } else {
       // Widen 8-bit to the full 16-bit range (255 -> 65535).
-      out.data()[i] = static_cast<std::uint16_t>(raster[i] * 257u);
+      std::uint16_t* dst = out.data() + filled;
+      for (std::size_t i = 0; i < take; ++i) {
+        dst[i] = static_cast<std::uint16_t>(src[i] * 257u);
+      }
+    }
+    filled += take;
+  }
+  if (filled < expected) r.fail("pixel data shorter than image");
+  const bool host_big_endian = std::endian::native == std::endian::big;
+  if (bits == 16 && r.big_endian() != host_big_endian) {
+    for (std::uint16_t& px : out.pixels()) {
+      px = static_cast<std::uint16_t>((px << 8) | (px >> 8));
     }
   }
 

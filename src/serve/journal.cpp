@@ -7,11 +7,10 @@
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
-#include <fstream>
-#include <sstream>
 
 #include "common/crc32c.hpp"
 #include "common/error.hpp"
+#include "common/file.hpp"
 #include "metrics/wellknown.hpp"
 
 namespace hs::serve {
@@ -424,13 +423,7 @@ std::vector<ReplayedJob> Journal::replay(ReplayStats* stats) {
   for (const std::uint64_t index : segments_) {
     const std::string path = segment_path(index);
     std::string content;
-    {
-      std::ifstream file(path, std::ios::binary);
-      if (!file) continue;  // deleted under us; nothing to replay
-      std::ostringstream buffer;
-      buffer << file.rdbuf();
-      content = buffer.str();
-    }
+    if (!read_file(path, &content)) continue;  // deleted under us
     std::size_t offset = 0;
     bool torn = false;
     while (offset + kFrameHeader <= content.size()) {

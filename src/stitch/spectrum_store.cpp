@@ -8,6 +8,7 @@
 
 #include "common/crc32c.hpp"
 #include "common/error.hpp"
+#include "common/file.hpp"
 #include "metrics/wellknown.hpp"
 
 namespace hs::stitch {
@@ -109,23 +110,6 @@ bool validate_spectrum_file(const std::string& contents, SpectrumKey* key,
   const std::size_t bin_bytes = len - kSpectrumHeaderBytes;
   return bin_bytes % sizeof(fft::Complex) == 0 &&
          *bin_count == bin_bytes / sizeof(fft::Complex);
-}
-
-bool read_file(const std::string& path, std::string* out) {
-  std::FILE* file = std::fopen(path.c_str(), "rb");
-  if (file == nullptr) return false;
-  std::fseek(file, 0, SEEK_END);
-  const long size = std::ftell(file);
-  if (size < 0) {
-    std::fclose(file);
-    return false;
-  }
-  out->resize(static_cast<std::size_t>(size));
-  std::fseek(file, 0, SEEK_SET);
-  const std::size_t got =
-      size == 0 ? 0 : std::fread(out->data(), 1, out->size(), file);
-  std::fclose(file);
-  return got == out->size();
 }
 
 /// Durable whole-file write: everything or nothing reaches `path`.

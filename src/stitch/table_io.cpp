@@ -9,6 +9,7 @@
 
 #include "common/crc32c.hpp"
 #include "common/error.hpp"
+#include "common/file.hpp"
 
 namespace hs::stitch {
 
@@ -82,12 +83,10 @@ std::vector<std::string> split_lines(const std::string& content) {
 }  // namespace
 
 TableFileData read_table_file(const std::string& path) {
-  std::ifstream file(path, std::ios::binary);
-  if (!file) throw IoError("cannot open table file: " + path);
-  std::ostringstream buffer;
-  buffer << file.rdbuf();
-  if (file.bad()) throw IoError("read error on table file: " + path);
-  std::string content = buffer.str();
+  std::string content;
+  if (!read_file(path, &content)) {
+    throw IoError("cannot open or read table file: " + path);
+  }
 
   TableFileData data;
 

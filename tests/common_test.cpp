@@ -1,17 +1,26 @@
 // Unit tests for the common utility library.
 #include <gtest/gtest.h>
 
+#include <sys/stat.h>
+#include <unistd.h>
+
+#include <filesystem>
+#include <fstream>
 #include <limits>
 #include <set>
 #include <thread>
 #include <utility>
+#include <vector>
 
 #include "common/aligned_buffer.hpp"
 #include "common/cli.hpp"
+#include "common/crc32c.hpp"
 #include "common/error.hpp"
+#include "common/file.hpp"
 #include "common/log.hpp"
 #include "common/move_function.hpp"
 #include "common/rng.hpp"
+#include "common/simd.hpp"
 #include "common/stopwatch.hpp"
 #include "common/table.hpp"
 
@@ -353,6 +362,126 @@ TEST(Error, RequireThrowsWithMessage) {
     EXPECT_NE(std::string(e.what()).find("numbers disagree"),
               std::string::npos);
   }
+}
+
+// --- CRC32C ------------------------------------------------------------------
+//
+// The hardware body (SSE4.2, where the CPU has it) must return the table
+// loop's value for every input: journals, checkpoints, spill frames and
+// shared-cache keys on disk never depend on the body that wrote them. The
+// table loop runs whenever dispatch is forced to scalar.
+
+std::uint32_t table_crc(const void* data, std::size_t size,
+                        std::uint32_t seed = 0) {
+  common::ScopedKernelDispatch scalar(common::KernelDispatch::kScalar);
+  return crc32c(data, size, seed);
+}
+
+std::vector<unsigned char> random_bytes(std::size_t size, std::uint64_t seed) {
+  Rng rng(seed);
+  std::vector<unsigned char> out(size);
+  for (auto& b : out) b = static_cast<unsigned char>(rng.next_u64());
+  return out;
+}
+
+TEST(Crc32cDispatch, CheckValueOnBothBodies) {
+  const std::string check = "123456789";
+  EXPECT_EQ(crc32c(check), 0xE3069283u);
+  EXPECT_EQ(table_crc(check.data(), check.size()), 0xE3069283u);
+}
+
+TEST(Crc32cDispatch, MatchesTableLoopAtEveryShortLengthAndMisalignment) {
+  const auto bytes = random_bytes(64 + 8, 1);
+  for (std::size_t skew = 0; skew < 8; ++skew) {
+    for (std::size_t len = 0; len <= 64; ++len) {
+      const unsigned char* p = bytes.data() + skew;
+      ASSERT_EQ(crc32c(p, len), table_crc(p, len))
+          << "length " << len << ", misalignment " << skew;
+    }
+  }
+}
+
+TEST(Crc32cDispatch, MatchesTableLoopAtRandomLengthsUpToOneMebibyte) {
+  constexpr std::size_t kMax = std::size_t{1} << 20;
+  const auto bytes = random_bytes(kMax + 8, 2);
+  Rng rng(3);
+  for (std::size_t trial = 0; trial < 24; ++trial) {
+    const auto len = static_cast<std::size_t>(
+        rng.uniform_int(65, static_cast<std::int64_t>(kMax)));
+    const std::size_t skew = trial % 8;
+    const unsigned char* p = bytes.data() + skew;
+    const auto seed = static_cast<std::uint32_t>(rng.next_u64());
+    ASSERT_EQ(crc32c(p, len, seed), table_crc(p, len, seed))
+        << "length " << len << ", misalignment " << skew;
+  }
+}
+
+TEST(Crc32cDispatch, ContinuedInPiecesEqualsOnePass) {
+  const auto bytes = random_bytes(4099, 4);
+  const std::uint32_t whole = table_crc(bytes.data(), bytes.size());
+  for (const std::size_t cut : {0ul, 1ul, 7ul, 8ul, 13ul, 2048ul, 4098ul,
+                                4099ul}) {
+    const std::uint32_t a = crc32c(bytes.data(), cut);
+    EXPECT_EQ(crc32c(bytes.data() + cut, bytes.size() - cut, a), whole)
+        << "cut at " << cut;
+    const std::uint32_t ta = table_crc(bytes.data(), cut);
+    EXPECT_EQ(table_crc(bytes.data() + cut, bytes.size() - cut, ta), whole)
+        << "cut at " << cut;
+  }
+}
+
+// --- read_file -----------------------------------------------------------------
+
+class ReadFileTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    dir_ = std::filesystem::temp_directory_path() /
+           ("hs_common_test_" + std::to_string(::getpid()));
+    std::filesystem::create_directories(dir_);
+  }
+  void TearDown() override {
+    std::error_code ec;
+    std::filesystem::remove_all(dir_, ec);
+  }
+  std::string path(const std::string& name) const {
+    return (dir_ / name).string();
+  }
+  std::filesystem::path dir_;
+};
+
+TEST_F(ReadFileTest, ReadsRegularFilesWhole) {
+  const auto bytes = random_bytes(200 * 1024 + 3, 5);
+  const std::string expected(bytes.begin(), bytes.end());
+  std::ofstream(path("a.bin"), std::ios::binary) << expected;
+  std::ofstream(path("empty.bin"), std::ios::binary).flush();
+  std::string out = "stale";
+  ASSERT_TRUE(read_file(path("a.bin"), &out));
+  EXPECT_EQ(out, expected);
+  ASSERT_TRUE(read_file(path("empty.bin"), &out));
+  EXPECT_TRUE(out.empty());
+}
+
+TEST_F(ReadFileTest, MissingFileAndDirectoryFail) {
+  std::string out;
+  EXPECT_FALSE(read_file(path("absent.bin"), &out));
+  EXPECT_FALSE(read_file(dir_.string(), &out));
+}
+
+TEST_F(ReadFileTest, UnsizedFileReadsToEof) {
+  // A FIFO has no stat size: the chunked path must grow past its first
+  // 64 KiB chunk and stop at the writer's EOF.
+  const std::string fifo = path("fifo");
+  ASSERT_EQ(::mkfifo(fifo.c_str(), 0600), 0);
+  const auto bytes = random_bytes(150 * 1024, 6);
+  const std::string expected(bytes.begin(), bytes.end());
+  std::thread writer([&] {
+    std::ofstream(fifo, std::ios::binary) << expected;
+  });
+  std::string out;
+  const bool ok = read_file(fifo, &out);
+  writer.join();
+  ASSERT_TRUE(ok);
+  EXPECT_EQ(out, expected);
 }
 
 }  // namespace

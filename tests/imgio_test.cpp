@@ -48,6 +48,115 @@ ImageU16 random_image(std::size_t h, std::size_t w, std::uint64_t seed) {
   return out;
 }
 
+/// Hand-builds an uncompressed grayscale TIFF in either byte order: the
+/// header, the strips back to back from offset 8, out-of-line strip arrays
+/// when there are several strips, then the IFD. Strips are raw file bytes,
+/// so a test controls exactly where samples fall across strip boundaries.
+void write_strip_tiff(const std::string& path, bool big_endian,
+                      std::uint32_t width, std::uint32_t height,
+                      std::uint16_t bits,
+                      const std::vector<std::vector<std::uint8_t>>& strips) {
+  std::vector<std::uint8_t> bytes;
+  auto put = [&](std::uint32_t v, int size) {
+    for (int i = 0; i < size; ++i) {
+      const int shift = 8 * (big_endian ? size - 1 - i : i);
+      bytes.push_back(static_cast<std::uint8_t>((v >> shift) & 0xFF));
+    }
+  };
+  bytes.assign(2, big_endian ? 'M' : 'I');
+  put(42, 2);
+  put(0, 4);  // IFD offset, patched below
+  std::vector<std::uint32_t> offsets, counts;
+  for (const auto& strip : strips) {
+    offsets.push_back(static_cast<std::uint32_t>(bytes.size()));
+    counts.push_back(static_cast<std::uint32_t>(strip.size()));
+    bytes.insert(bytes.end(), strip.begin(), strip.end());
+  }
+  auto array = [&](const std::vector<std::uint32_t>& values) {
+    if (values.size() == 1) return values[0];  // stored inline
+    const auto at = static_cast<std::uint32_t>(bytes.size());
+    for (std::uint32_t v : values) put(v, 4);
+    return at;
+  };
+  const std::uint32_t offsets_value = array(offsets);
+  const std::uint32_t counts_value = array(counts);
+  const auto ifd = static_cast<std::uint32_t>(bytes.size());
+  put(8, 2);  // entry count
+  auto entry = [&](std::uint16_t tag, std::uint16_t type, std::uint32_t count,
+                   std::uint32_t value) {
+    put(tag, 2);
+    put(type, 2);
+    put(count, 4);
+    if (type == 3) {  // SHORT: left-justified in the value field
+      put(value, 2);
+      put(0, 2);
+    } else {
+      put(value, 4);
+    }
+  };
+  const auto strip_count = static_cast<std::uint32_t>(strips.size());
+  entry(256, 4, 1, width);
+  entry(257, 4, 1, height);
+  entry(258, 3, 1, bits);
+  entry(259, 3, 1, 1);  // no compression
+  entry(262, 3, 1, 1);  // BlackIsZero
+  entry(273, 4, strip_count, offsets_value);
+  entry(278, 4, 1, height);  // rows per strip: the reader ignores it
+  entry(279, 4, strip_count, counts_value);
+  put(0, 4);  // no next IFD
+  for (int i = 0; i < 4; ++i) {
+    const int shift = 8 * (big_endian ? 3 - i : i);
+    bytes[4 + static_cast<std::size_t>(i)] =
+        static_cast<std::uint8_t>((ifd >> shift) & 0xFF);
+  }
+  std::ofstream(path, std::ios::binary)
+      .write(reinterpret_cast<const char*>(bytes.data()),
+             static_cast<std::streamsize>(bytes.size()));
+}
+
+/// Sample i of the strip tests: its two bytes differ, so a swapped, shifted
+/// or dropped byte changes the value.
+std::uint16_t strip_sample(std::size_t i) {
+  return static_cast<std::uint16_t>(0x0103 * (i + 1));
+}
+
+/// `count` strip samples as file bytes in the given order.
+std::vector<std::uint8_t> sample_bytes(std::size_t count, bool big_endian) {
+  std::vector<std::uint8_t> out;
+  for (std::size_t i = 0; i < count; ++i) {
+    const std::uint16_t v = strip_sample(i);
+    const auto hi = static_cast<std::uint8_t>(v >> 8);
+    const auto lo = static_cast<std::uint8_t>(v & 0xFF);
+    out.push_back(big_endian ? hi : lo);
+    out.push_back(big_endian ? lo : hi);
+  }
+  return out;
+}
+
+/// Cuts `bytes` into consecutive strips of the given sizes.
+std::vector<std::vector<std::uint8_t>> cut_strips(
+    const std::vector<std::uint8_t>& bytes,
+    const std::vector<std::size_t>& sizes) {
+  std::vector<std::vector<std::uint8_t>> out;
+  std::size_t at = 0;
+  for (const std::size_t size : sizes) {
+    out.emplace_back(bytes.begin() + static_cast<std::ptrdiff_t>(at),
+                     bytes.begin() + static_cast<std::ptrdiff_t>(at + size));
+    at += size;
+  }
+  EXPECT_EQ(at, bytes.size()) << "strip sizes must cover the bytes";
+  return out;
+}
+
+void expect_strip_samples(const ImageU16& image, std::size_t height,
+                          std::size_t width) {
+  ASSERT_EQ(image.height(), height);
+  ASSERT_EQ(image.width(), width);
+  for (std::size_t i = 0; i < height * width; ++i) {
+    ASSERT_EQ(image.data()[i], strip_sample(i)) << "pixel " << i;
+  }
+}
+
 // --- Image container ---------------------------------------------------------
 
 TEST(Image, RowMajorLayout) {
@@ -144,51 +253,11 @@ TEST(Tiff, EightBitWidensTo16) {
 }
 
 TEST(Tiff, ReadsBigEndianFiles) {
-  // Hand-build a tiny 2x2 big-endian 16-bit TIFF.
+  // A tiny 2x2 big-endian 16-bit TIFF, one strip.
   TempDir dir;
   const std::string path = dir.str("be.tif");
-  std::vector<std::uint8_t> bytes;
-  auto u16be = [&](std::uint16_t v) {
-    bytes.push_back(static_cast<std::uint8_t>(v >> 8));
-    bytes.push_back(static_cast<std::uint8_t>(v & 0xFF));
-  };
-  auto u32be = [&](std::uint32_t v) {
-    for (int i = 3; i >= 0; --i) {
-      bytes.push_back(static_cast<std::uint8_t>((v >> (8 * i)) & 0xFF));
-    }
-  };
-  bytes.push_back('M');
-  bytes.push_back('M');
-  u16be(42);
-  u32be(16);  // IFD offset: header(8) + pixels(8)
-  // Pixels (big-endian samples): 1, 2, 3, 4.
-  for (std::uint16_t v : {1, 2, 3, 4}) u16be(v);
-  // IFD: 8 entries.
-  u16be(8);
-  auto entry = [&](std::uint16_t tag, std::uint16_t type, std::uint32_t count,
-                   std::uint32_t value, bool value_is_short) {
-    u16be(tag);
-    u16be(type);
-    u32be(count);
-    if (value_is_short) {
-      u16be(static_cast<std::uint16_t>(value));
-      u16be(0);
-    } else {
-      u32be(value);
-    }
-  };
-  entry(256, 4, 1, 2, false);   // width
-  entry(257, 4, 1, 2, false);   // height
-  entry(258, 3, 1, 16, true);   // bits
-  entry(259, 3, 1, 1, true);    // compression
-  entry(262, 3, 1, 1, true);    // photometric
-  entry(273, 4, 1, 8, false);   // strip offset
-  entry(278, 4, 1, 2, false);   // rows per strip
-  entry(279, 4, 1, 8, false);   // strip byte count
-  u32be(0);
-  std::ofstream(path, std::ios::binary)
-      .write(reinterpret_cast<const char*>(bytes.data()),
-             static_cast<std::streamsize>(bytes.size()));
+  write_strip_tiff(path, /*big_endian=*/true, 2, 2, 16,
+                   {{0, 1, 0, 2, 0, 3, 0, 4}});
 
   TiffInfo info;
   const ImageU16 loaded = read_tiff_u16(path, &info);
@@ -199,6 +268,50 @@ TEST(Tiff, ReadsBigEndianFiles) {
   EXPECT_EQ(loaded.at(0, 1), 2);
   EXPECT_EQ(loaded.at(1, 0), 3);
   EXPECT_EQ(loaded.at(1, 1), 4);
+}
+
+TEST(Tiff, SampleSplitAcrossStripsDecodes) {
+  // Odd strip byte counts put the strip boundaries inside samples 2 and 5.
+  TempDir dir;
+  const std::string path = dir.str("split.tif");
+  write_strip_tiff(path, false, 3, 3, 16,
+                   cut_strips(sample_bytes(9, false), {5, 6, 7}));
+  expect_strip_samples(read_tiff_u16(path), 3, 3);
+}
+
+TEST(Tiff, BigEndianAcrossSeveralStrips) {
+  TempDir dir;
+  const auto bytes = sample_bytes(20, true);
+  // One strip per row, then odd strips that split samples.
+  const std::string rows = dir.str("rows.tif");
+  write_strip_tiff(rows, true, 4, 5, 16, cut_strips(bytes, {8, 8, 8, 8, 8}));
+  expect_strip_samples(read_tiff_u16(rows), 5, 4);
+  const std::string odd = dir.str("odd.tif");
+  write_strip_tiff(odd, true, 4, 5, 16, cut_strips(bytes, {3, 13, 1, 23}));
+  TiffInfo info;
+  expect_strip_samples(read_tiff_u16(odd, &info), 5, 4);
+  EXPECT_TRUE(info.big_endian);
+}
+
+TEST(Tiff, StripBytesPastImageAreIgnored) {
+  TempDir dir;
+  // 16-bit: the raster ends inside the second strip, and a third strip
+  // holds nothing but excess bytes.
+  auto bytes = sample_bytes(6, false);
+  bytes.insert(bytes.end(), {0xAA, 0xBB, 0xCC, 0xDD, 0xEE, 0xFF, 0x11});
+  const std::string wide = dir.str("excess16.tif");
+  write_strip_tiff(wide, false, 3, 2, 16, cut_strips(bytes, {7, 9, 3}));
+  expect_strip_samples(read_tiff_u16(wide), 2, 3);
+
+  // 8-bit: same, with the widening to 16 bits.
+  const std::string narrow = dir.str("excess8.tif");
+  write_strip_tiff(narrow, true, 2, 2, 8, {{10, 20, 30}, {40, 99}, {98}});
+  const ImageU16 loaded = read_tiff_u16(narrow);
+  ASSERT_EQ(loaded.pixel_count(), 4u);
+  EXPECT_EQ(loaded.at(0, 0), 10 * 257);
+  EXPECT_EQ(loaded.at(0, 1), 20 * 257);
+  EXPECT_EQ(loaded.at(1, 0), 30 * 257);
+  EXPECT_EQ(loaded.at(1, 1), 40 * 257);
 }
 
 TEST(Tiff, RejectsMissingFile) {
@@ -328,6 +441,18 @@ TEST(TiffCorpus, SecondIfdEntryTablePastEofRejected) {
   EXPECT_THROW(read_tiff_u16(path), IoError);
 }
 
+TEST(TiffCorpus, ExtentsBeyondFileRejectedBeforeAllocating) {
+  TempDir dir;
+  const std::string path = dir.str("huge.tif");
+  write_tiff_u16(path, random_image(4, 4, 16), 1000);
+  auto bytes = slurp(path);
+  // 2^31 x 2^31 16-bit samples: 2^63 bytes, far past the file's size.
+  patch32(bytes, entry_offset(bytes, 256) + 8, 1u << 31);  // ImageWidth
+  patch32(bytes, entry_offset(bytes, 257) + 8, 1u << 31);  // ImageLength
+  spit(path, bytes);
+  EXPECT_THROW(read_tiff_u16(path), IoError);
+}
+
 // --- PNM ---------------------------------------------------------------------
 
 TEST(Pgm, RoundTrips16Bit) {
@@ -411,6 +536,22 @@ TEST(Pgm, CanonicalMaxvalsStayVerbatim) {
   file.write(reinterpret_cast<const char*>(raw), sizeof raw);
   file.close();
   EXPECT_EQ(read_pgm_u16(path).at(0, 0), 258);
+}
+
+TEST(Pgm, RejectsExtentsBeyondFile) {
+  // 2^32 x 2^32 used to wrap to zero pixels and load as an empty image.
+  TempDir dir;
+  const std::string path = dir.str("huge.pgm");
+  std::ofstream(path, std::ios::binary) << "P5\n4294967296 4294967296\n65535\n";
+  EXPECT_THROW(read_pgm_u16(path), IoError);
+}
+
+TEST(Pgm, RejectsHeaderNumberPastSizeMax) {
+  // 2^64 + 1 used to wrap to a width of 1.
+  TempDir dir;
+  const std::string path = dir.str("wrap.pgm");
+  std::ofstream(path, std::ios::binary) << "P5\n18446744073709551617 1\n255\nx";
+  EXPECT_THROW(read_pgm_u16(path), IoError);
 }
 
 TEST(Ppm, WritesExpectedSize) {
