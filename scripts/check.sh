@@ -132,6 +132,19 @@ for preset in "${presets[@]}"; do
     ./build/bench/table2_runtimes --json-out=build/bench/BENCH_sched.json \
       >/dev/null
     python3 scripts/perf_gate.py BENCH_sched.json build/bench/BENCH_sched.json
+    # Paper reproductions that check themselves and exit non-zero when the
+    # check fails: Table I op counts (including the half-spectrum bin
+    # count), the Fig 7/9 Simple-GPU vs Pipelined-GPU contrast, and the
+    # Fig 13/14 mosaic (every tile within 1 px of ground truth). They write
+    # JSON and PGM files into the working directory, so they run from a
+    # temp dir.
+    echo "==> [release] paper reproductions (table1_opcounts, fig7_fig9_profiles, fig13_fig14_compose)"
+    root=$(pwd)
+    repro_dir=$(mktemp -d)
+    for repro in table1_opcounts fig7_fig9_profiles fig13_fig14_compose; do
+      (cd "${repro_dir}" && "${root}/build/bench/${repro}" >/dev/null)
+    done
+    rm -rf "${repro_dir}"
     # Benchmark-trajectory gate for the SIMD codelets: regenerate the FFT
     # and kernel micro-benchmark snapshots and diff them against the
     # committed baselines. bench_fft itself enforces the tentpole >=1.3x

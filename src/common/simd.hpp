@@ -13,7 +13,8 @@
 //   2. The HS_KERNEL_DISPATCH environment variable
 //      ("scalar" | "sse2" | "avx2" | "auto"), read once at first use.
 //   3. set_forced_tier(), the programmatic override behind the
-//      --kernel-dispatch CLI flag and StitchOptions::kernel_dispatch.
+//      --kernel-dispatch CLI flag and ScopedKernelDispatch. The tier is
+//      process-wide: a stitch job has no tier of its own.
 //
 // A forced tier wider than the CPU supports is clamped to detected_tier():
 // forcing can only narrow, never fault. Every variant is bit-identical to
@@ -47,8 +48,8 @@ SimdTier detected_tier();
 /// clamped to detected_tier(), or detected_tier() when nothing is forced.
 SimdTier active_tier();
 
-/// Programmatic override (CLI flag / StitchOptions / tests). kAuto restores
-/// env-or-detected behavior. Process-global; concurrent stitches share it.
+/// Programmatic override (CLI flag / tests). kAuto restores env-or-detected
+/// behavior. Process-global; concurrent stitches share it.
 void set_forced_tier(KernelDispatch dispatch);
 
 /// The current forced setting (kAuto when nothing is forced beyond the

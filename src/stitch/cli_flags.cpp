@@ -61,9 +61,10 @@ void register_stitch_flags(CliParser& cli, const StitchCliDefaults& defaults) {
                "pair tasks grouped per vgpu launch (1 = per-pair dispatch)",
                num(o.gpu_batch_pairs));
   cli.add_flag("kernel-dispatch",
-               "SIMD codelet tier: auto, scalar, sse2, or avx2 (clamped to "
-               "CPU support; tables are bit-identical across tiers)",
-               common::dispatch_name(o.kernel_dispatch));
+               "SIMD codelet tier for the whole process: auto, scalar, sse2, "
+               "or avx2 (clamped to CPU support; tables are bit-identical "
+               "across tiers)",
+               "auto");
 }
 
 Backend backend_from_cli(const CliParser& cli) {
@@ -87,7 +88,13 @@ StitchOptions options_from_cli(const CliParser& cli) {
   options.use_real_fft = cli.get_bool("real-fft");
   options.steal_threshold = get_size(cli, "steal-threshold");
   options.gpu_batch_pairs = get_size(cli, "gpu-batch-pairs");
-  options.kernel_dispatch = common::parse_dispatch(cli.get("kernel-dispatch"));
+  // The tier is process-wide, the scope HS_KERNEL_DISPATCH already has;
+  // auto leaves the environment's setting in effect.
+  const common::KernelDispatch dispatch =
+      common::parse_dispatch(cli.get("kernel-dispatch"));
+  if (dispatch != common::KernelDispatch::kAuto) {
+    common::set_forced_tier(dispatch);
+  }
   return options;
 }
 

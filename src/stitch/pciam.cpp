@@ -24,30 +24,47 @@ FftPipeline make_fft_pipeline(std::size_t height, std::size_t width,
   return p;
 }
 
-void tile_forward_fft(const img::ImageU16& tile, const fft::Plan2d& plan,
-                      fft::Complex* out, PciamScratch& scratch) {
-  const std::size_t count = tile.pixel_count();
-  HS_REQUIRE(plan.height() == tile.height() && plan.width() == tile.width(),
-             "plan does not match tile size");
-  scratch.ensure(count);
-  vgpu::k_u16_to_complex(tile.data(), scratch.a.data(), count);
-  plan.execute(scratch.a.data(), out);
+void FftPipeline::stage(const img::ImageU16& tile,
+                        fft::Complex* buffer) const {
+  if (real_fft) {
+    vgpu::k_u16_to_real_padded(tile.data(), buffer, height, width);
+  } else {
+    vgpu::k_u16_to_complex(tile.data(), buffer, height * width);
+  }
+}
+
+void FftPipeline::forward_inplace(fft::Complex* data) const {
+  if (real_fft) {
+    r2c->execute_inplace_padded(data);
+  } else {
+    forward->execute_inplace(data);
+  }
+}
+
+void FftPipeline::inverse_inplace(fft::Complex* data) const {
+  if (real_fft) {
+    c2r->execute_inplace_half(data);
+  } else {
+    inverse->execute_inplace(data);
+  }
+}
+
+std::vector<vgpu::MaxAbsResult> FftPipeline::peaks(const fft::Complex* surface,
+                                                   std::size_t k) const {
+  const std::size_t count = height * width;
+  return real_fft ? vgpu::k_max_abs_topk_real(
+                        reinterpret_cast<const double*>(surface), count, k)
+                  : vgpu::k_max_abs_topk(surface, count, k);
 }
 
 void tile_forward_spectrum(const img::ImageU16& tile,
                            const FftPipeline& pipeline, fft::Complex* out,
-                           PciamScratch& scratch) {
+                           PciamScratch& /*scratch*/) {
   HS_REQUIRE(pipeline.height == tile.height() &&
                  pipeline.width == tile.width(),
              "pipeline does not match tile size");
-  if (!pipeline.real_fft) {
-    tile_forward_fft(tile, *pipeline.forward, out, scratch);
-    return;
-  }
-  const std::size_t count = tile.pixel_count();
-  scratch.ensure_real(count);
-  vgpu::k_u16_to_real(tile.data(), scratch.ra.data(), count);
-  pipeline.r2c->execute(scratch.ra.data(), out);
+  pipeline.stage(tile, out);
+  pipeline.forward_inplace(out);
 }
 
 Translation disambiguate_peaks(const img::ImageU16& reference,
@@ -65,28 +82,25 @@ Translation disambiguate_peaks(const img::ImageU16& reference,
   return best;
 }
 
-Translation pciam_from_ffts(const fft::Complex* fft_reference,
-                            const fft::Complex* fft_moved,
-                            const img::ImageU16& reference,
-                            const img::ImageU16& moved,
-                            const fft::Plan2d& inverse_plan,
-                            PciamScratch& scratch, OpCountsAtomic* counts,
-                            std::size_t peak_candidates,
-                            std::int64_t min_overlap_px) {
-  const std::size_t h = reference.height();
-  const std::size_t w = reference.width();
-  const std::size_t count = h * w;
+Translation pciam_from_spectra(const fft::Complex* spec_reference,
+                               const fft::Complex* spec_moved,
+                               const img::ImageU16& reference,
+                               const img::ImageU16& moved,
+                               const FftPipeline& pipeline,
+                               PciamScratch& scratch, OpCountsAtomic* counts,
+                               std::size_t peak_candidates,
+                               std::int64_t min_overlap_px) {
+  const std::size_t bins = pipeline.spectrum_count();
   HS_REQUIRE(reference.same_shape(moved), "pciam requires equal-size tiles");
   HS_REQUIRE(peak_candidates >= 1, "need at least one peak candidate");
-  scratch.ensure(count);
+  scratch.ensure(bins);
 
   // Steps 4-5: normalized correlation coefficients.
-  vgpu::k_ncc(fft_reference, fft_moved, scratch.a.data(), count);
-  // Step 6: inverse transform of the NCC.
-  inverse_plan.execute(scratch.a.data(), scratch.b.data());
+  vgpu::k_ncc_half(spec_reference, spec_moved, scratch.a.data(), bins);
+  // Step 6: inverse transform of the NCC, in place.
+  pipeline.inverse_inplace(scratch.a.data());
   // Step 7: max reduction (top-k when the multi-peak extension is on).
-  const auto peaks =
-      vgpu::k_max_abs_topk(scratch.b.data(), count, peak_candidates);
+  const auto peaks = pipeline.peaks(scratch.a.data(), peak_candidates);
   std::vector<std::size_t> indices;
   indices.reserve(peaks.size());
   for (const auto& peak : peaks) indices.push_back(peak.index);
@@ -98,49 +112,8 @@ Translation pciam_from_ffts(const fft::Complex* fft_reference,
     counts->bump(counts->ccf_evaluations, 4 * indices.size());
   }
   // Steps 8-12: resolve the periodic ambiguity with spatial-domain CCFs.
-  return disambiguate_peaks(reference, moved, indices, w, min_overlap_px);
-}
-
-Translation pciam_from_spectra(const fft::Complex* spec_reference,
-                               const fft::Complex* spec_moved,
-                               const img::ImageU16& reference,
-                               const img::ImageU16& moved,
-                               const FftPipeline& pipeline,
-                               PciamScratch& scratch, OpCountsAtomic* counts,
-                               std::size_t peak_candidates,
-                               std::int64_t min_overlap_px) {
-  if (!pipeline.real_fft) {
-    return pciam_from_ffts(spec_reference, spec_moved, reference, moved,
-                           *pipeline.inverse, scratch, counts, peak_candidates,
-                           min_overlap_px);
-  }
-  const std::size_t h = reference.height();
-  const std::size_t w = reference.width();
-  const std::size_t count = h * w;
-  const std::size_t bins = pipeline.spectrum_count();
-  HS_REQUIRE(reference.same_shape(moved), "pciam requires equal-size tiles");
-  HS_REQUIRE(peak_candidates >= 1, "need at least one peak candidate");
-  scratch.ensure(bins);
-  scratch.ensure_real(count);
-
-  // Steps 4-5 over the Hermitian half spectrum.
-  vgpu::k_ncc_half(spec_reference, spec_moved, scratch.a.data(), bins);
-  // Step 6: c2r inverse lands directly in the real correlation surface.
-  pipeline.c2r->execute(scratch.a.data(), scratch.ra.data());
-  // Step 7: max reduction over doubles.
-  const auto peaks =
-      vgpu::k_max_abs_topk_real(scratch.ra.data(), count, peak_candidates);
-  std::vector<std::size_t> indices;
-  indices.reserve(peaks.size());
-  for (const auto& peak : peaks) indices.push_back(peak.index);
-
-  if (counts != nullptr) {
-    counts->bump(counts->ncc_multiplies);
-    counts->bump(counts->inverse_ffts);
-    counts->bump(counts->max_reductions);
-    counts->bump(counts->ccf_evaluations, 4 * indices.size());
-  }
-  return disambiguate_peaks(reference, moved, indices, w, min_overlap_px);
+  return disambiguate_peaks(reference, moved, indices, reference.width(),
+                            min_overlap_px);
 }
 
 Translation pciam_full(const img::ImageU16& reference,

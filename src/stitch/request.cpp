@@ -11,7 +11,6 @@
 #include <vector>
 
 #include "common/error.hpp"
-#include "common/simd.hpp"
 #include "common/stopwatch.hpp"
 #include "fault/plan.hpp"
 #include "stitch/ledger.hpp"
@@ -90,7 +89,7 @@ void StitchRequest::validate() const {
              " grid; need > " + num(ws));
   }
   if (backend == Backend::kSimpleGpu) {
-    const std::size_t pool = o.pool_buffers > 0 ? o.pool_buffers : ws + 4;
+    const std::size_t pool = pool_slots(o, layout);
     if (pool < ws + 2) {
       fail("pool_buffers",
            "pool of " + num(pool) + " cannot cover traversal " +
@@ -227,15 +226,11 @@ std::size_t pool_bytes_for(const StitchRequest& request, Backend backend) {
       return (ws + bands) * (transform_bytes + tile_bytes) +
              bands * transform_bytes;
     }
-    case Backend::kPipelinedCpu: {
-      const std::size_t slots =
-          options.pool_buffers > 0 ? options.pool_buffers : ws + 4;
-      return slots * (transform_bytes + tile_bytes) +
+    case Backend::kPipelinedCpu:
+      return pool_slots(options, layout) * (transform_bytes + tile_bytes) +
              options.threads * transform_bytes;
-    }
     case Backend::kSimpleGpu: {
-      const std::size_t pool =
-          options.pool_buffers > 0 ? options.pool_buffers : ws + 4;
+      const std::size_t pool = pool_slots(options, layout);
       // Device pool + host tiles pinned alongside + staging + reduce.
       return pool * (transform_bytes + tile_bytes) + 2 * transform_bytes;
     }
@@ -243,10 +238,8 @@ std::size_t pool_bytes_for(const StitchRequest& request, Backend backend) {
       std::size_t total = 0;
       for (const RowBand& rows :
            gpu_row_bands(layout, ResourceSet::for_backend(backend, options))) {
-        const std::size_t band_ws = traversal_working_set(
-            rows.layout(layout.cols), options.traversal);
         const std::size_t pool =
-            options.pool_buffers > 0 ? options.pool_buffers : band_ws + 4;
+            pool_slots(options, rows.layout(layout.cols));
         total += (pool + 2) * transform_bytes  // forward pool + NCC pool
                  + pool * tile_bytes           // host pixels for the CCFs
                  + 8 * tile_bytes;             // bounded reader queue
@@ -315,14 +308,6 @@ std::size_t StitchRequest::predicted_pool_bytes() const {
 
 StitchResult stitch(const StitchRequest& request) {
   request.validate();
-
-  // --- SIMD dispatch: a concrete tier forces the codelet selection for
-  // every kernel this job (and, being process-global, any concurrent job)
-  // runs. kAuto leaves the current forcing untouched so a CLI/env setting
-  // made at startup stays in effect across serve jobs.
-  if (request.options.kernel_dispatch != common::KernelDispatch::kAuto) {
-    common::set_forced_tier(request.options.kernel_dispatch);
-  }
 
   // --- deadline: armed on the same stop token every backend already polls
   // between pairs. A direct call starts the clock here; through the serve
@@ -569,8 +554,6 @@ std::string serialize_request(const StitchRequest& request) {
   out << "o.spill=" << (o.spill ? 1 : 0) << '\n';
   out << "o.steal_threshold=" << o.steal_threshold << '\n';
   out << "o.gpu_batch_pairs=" << o.gpu_batch_pairs << '\n';
-  out << "o.kernel_dispatch=" << common::dispatch_name(o.kernel_dispatch)
-      << '\n';
   return out.str();
 }
 
@@ -654,13 +637,6 @@ StitchRequest deserialize_request(const std::string& text) {
       o.steal_threshold = static_cast<std::size_t>(parse_u64(key, value));
     } else if (key == "o.gpu_batch_pairs") {
       o.gpu_batch_pairs = static_cast<std::size_t>(parse_u64(key, value));
-    } else if (key == "o.kernel_dispatch") {
-      try {
-        o.kernel_dispatch = common::parse_dispatch(value);
-      } catch (const InvalidArgument&) {
-        throw IoError("request field o.kernel_dispatch: bad value '" + value +
-                      "'");
-      }
     }
     // Unknown keys are ignored: a journal written by a newer build stays
     // replayable by this one for the fields both understand.

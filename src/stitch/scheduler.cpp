@@ -395,10 +395,7 @@ StitchResult run_cpu(const ResourceSet& rs, const TileProvider& provider,
     // Concurrent shapes: a worker stage claiming from the shared lane, plus
     // an optional prefetch stage (the Pipelined-CPU reader) warming the
     // cache ahead of the workers under a fixed in-flight budget.
-    const std::size_t slots =
-        options.pool_buffers > 0
-            ? options.pool_buffers
-            : traversal_working_set(layout, options.traversal) + 4;
+    const std::size_t slots = pool_slots(options, layout);
     std::vector<img::TilePos> prefetch_list;
     if (rs.prefetch_threads > 0) {
       // Tiles whose every pair a warm start settled have no references:
@@ -470,51 +467,22 @@ StitchResult run_cpu(const ResourceSet& rs, const TileProvider& provider,
 // Device transforms shared by both GPU shapes.
 // ---------------------------------------------------------------------------
 
-/// One device's PCIAM transforms in the run's FFT mode: complex forward and
-/// inverse, or the half-spectrum padded r2c forward and c2r inverse. Each
-/// call is one device FFT kernel through the vgpu VFft plans, which apply
-/// the device's Fermi/Kepler serialization rule.
-class DeviceFfts {
- public:
-  DeviceFfts(vgpu::Device& device, std::size_t h, std::size_t w,
-             bool real_fft, fft::Rigor rigor) {
-    if (real_fft) {
-      r2c_.emplace(device, h, w, rigor);
-      c2r_.emplace(device, h, w, rigor);
-    } else {
-      forward_.emplace(device, h, w, fft::Direction::kForward, rigor);
-      inverse_.emplace(device, h, w, fft::Direction::kInverse, rigor);
-    }
-  }
-  // Stream commands hold this object's address.
-  DeviceFfts(const DeviceFfts&) = delete;
-  DeviceFfts& operator=(const DeviceFfts&) = delete;
+/// One device's view of the run's FftPipeline: each call runs one in-place
+/// transform as one device FFT kernel, under the device's Fermi/Kepler rule
+/// (vgpu::run_fft_kernel). The device and the pipeline must outlive every
+/// stream command that uses the view.
+struct DeviceFfts {
+  vgpu::Device& device;
+  const FftPipeline& pipeline;
 
   /// Staged tile -> spectrum, in place.
   void forward(fft::Complex* data) const {
-    if (r2c_) {
-      r2c_->execute_inplace_padded(data);
-    } else {
-      forward_->execute_inplace(data);
-    }
+    vgpu::run_fft_kernel(device, [&] { pipeline.forward_inplace(data); });
   }
   /// NCC product -> correlation surface, in place.
   void inverse(fft::Complex* data) const {
-    if (c2r_) {
-      c2r_->execute_inplace_half(data);
-    } else {
-      inverse_->execute_inplace(data);
-    }
+    vgpu::run_fft_kernel(device, [&] { pipeline.inverse_inplace(data); });
   }
-  /// Span labels of a command running one transform.
-  const char* forward_label() const { return r2c_ ? "fft2d_r2c" : "fft2d"; }
-  const char* inverse_label() const { return c2r_ ? "ifft2d_c2r" : "ifft2d"; }
-
- private:
-  std::optional<vgpu::VFftPlan2d> forward_;
-  std::optional<vgpu::VFftPlan2d> inverse_;
-  std::optional<vgpu::VFftPlanR2c2d> r2c_;
-  std::optional<vgpu::VFftPlanC2r2d> c2r_;
 };
 
 // ---------------------------------------------------------------------------
@@ -532,14 +500,13 @@ StitchResult run_gpu_sync(const ResourceSet& rs, const TileProvider& provider,
       layout, options.traversal, WarmFilter(options.warm_start));
   const std::vector<std::size_t> refcounts = tile_refcounts(layout, pairs);
 
-  const std::size_t h = provider.tile_height();
-  const std::size_t w = provider.tile_width();
-  const std::size_t count = h * w;
-  const bool real_fft = options.use_real_fft;
+  const FftPipeline fftp =
+      make_fft_pipeline(provider.tile_height(), provider.tile_width(),
+                        options.rigor, options.use_real_fft);
   // Pooled buffers hold spectrum bins: the half-spectrum path shrinks every
   // device buffer (and thus the pool footprint) to h*(w/2+1) bins.
-  const std::size_t bins = real_fft ? h * (w / 2 + 1) : count;
-  const std::size_t buffer_bytes = bins * sizeof(fft::Complex);
+  const std::size_t bins = fftp.spectrum_count();
+  const std::size_t buffer_bytes = fftp.transform_bytes();
 
   vgpu::DeviceConfig config;
   config.memory_bytes = options.gpu_memory_bytes;
@@ -549,15 +516,11 @@ StitchResult run_gpu_sync(const ResourceSet& rs, const TileProvider& provider,
   config.cancel = options.cancel;
   vgpu::Device device(config);
   vgpu::Stream stream(device, "default");
-  const DeviceFfts ffts(device, h, w, real_fft, options.rigor);
+  const DeviceFfts ffts{device, fftp};
 
   // Pool sizing (working set + NCC buffer) is enforced up front by
   // StitchRequest::validate().
-  const std::size_t pool_size =
-      options.pool_buffers > 0
-          ? options.pool_buffers
-          : traversal_working_set(layout, options.traversal) + 4;
-  vgpu::BufferPool pool(device, pool_size, buffer_bytes);
+  vgpu::BufferPool pool(device, pool_slots(options, layout), buffer_bytes);
   const std::size_t peaks_k = std::max<std::size_t>(1, options.peak_candidates);
   vgpu::DeviceBuffer reduce_out =
       device.alloc(peaks_k * sizeof(vgpu::MaxAbsResult));
@@ -582,12 +545,8 @@ StitchResult run_gpu_sync(const ResourceSet& rs, const TileProvider& provider,
     state.tile = provider.load(pos);
     counts.bump(counts.tile_reads);
     // Synchronous H2D copy (the Simple-GPU pathology): convert on the host,
-    // copy, wait. The real-FFT path stages the padded in-place r2c layout.
-    if (real_fft) {
-      vgpu::k_u16_to_real_padded(state.tile.data(), staging.data(), h, w);
-    } else {
-      vgpu::k_u16_to_complex(state.tile.data(), staging.data(), count);
-    }
+    // copy, wait.
+    fftp.stage(state.tile, staging.data());
     state.transform = pool.acquire();
     stream.enqueue("memcpy_h2d", [&staging, dst = state.transform.as<void>(),
                                   buffer_bytes] {
@@ -596,7 +555,7 @@ StitchResult run_gpu_sync(const ResourceSet& rs, const TileProvider& provider,
     stream.synchronize();
     // FFT in place on the default stream, then wait again.
     fft::Complex* data = state.transform.as<fft::Complex>();
-    stream.enqueue(ffts.forward_label(),
+    stream.enqueue(fftp.forward_label(),
                    [&ffts, data] { ffts.forward(data); });
     stream.synchronize();
     counts.bump(counts.forward_ffts);
@@ -636,16 +595,13 @@ StitchResult run_gpu_sync(const ResourceSet& rs, const TileProvider& provider,
     stream.synchronize();
     counts.bump(counts.ncc_multiplies);
 
-    stream.enqueue(ffts.inverse_label(), [&ffts, fc] { ffts.inverse(fc); });
+    stream.enqueue(fftp.inverse_label(), [&ffts, fc] { ffts.inverse(fc); });
     stream.synchronize();
     counts.bump(counts.inverse_ffts);
 
     auto* reduced = reduce_out.as<vgpu::MaxAbsResult>();
-    stream.enqueue("max_reduce", [fc, count, reduced, peaks_k, real_fft] {
-      const auto peaks =
-          real_fft ? vgpu::k_max_abs_topk_real(
-                         reinterpret_cast<const double*>(fc), count, peaks_k)
-                   : vgpu::k_max_abs_topk(fc, count, peaks_k);
+    stream.enqueue("max_reduce", [&fftp, fc, reduced, peaks_k] {
+      const auto peaks = fftp.peaks(fc, peaks_k);
       for (std::size_t i = 0; i < peaks.size(); ++i) reduced[i] = peaks[i];
       for (std::size_t i = peaks.size(); i < peaks_k; ++i) {
         reduced[i] = vgpu::MaxAbsResult{-1.0, 0};
@@ -665,8 +621,8 @@ StitchResult run_gpu_sync(const ResourceSet& rs, const TileProvider& provider,
       if (peak_result.value >= 0.0) indices.push_back(peak_result.index);
     }
     counts.bump(counts.ccf_evaluations, 4 * indices.size());
-    const Translation t = disambiguate_peaks(ref.tile, mov.tile, indices, w,
-                                             options.min_overlap_px);
+    const Translation t = disambiguate_peaks(
+        ref.tile, mov.tile, indices, fftp.width, options.min_overlap_px);
 
     release_tile(task.reference);
     release_tile(task.moved);
@@ -852,7 +808,8 @@ void release_tile(GpuPipeline* gpu, const img::GridLayout& layout,
 /// tiles for the CCF.
 struct ClaimedPair {
   PairTask task;
-  vgpu::PairDispJob spectra;
+  const fft::Complex* spec_reference = nullptr;
+  const fft::Complex* spec_moved = nullptr;
   std::shared_ptr<const img::ImageU16> reference;
   std::shared_ptr<const img::ImageU16> moved;
 };
@@ -868,11 +825,9 @@ std::vector<ClaimedPair> gather_pairs(GpuPipeline& gpu,
   for (const PairTask& task : tasks) {
     const GpuTileState& a = gpu.states.at(layout.index_of(task.reference));
     const GpuTileState& b = gpu.states.at(layout.index_of(task.moved));
-    pairs.push_back(ClaimedPair{
-        task,
-        vgpu::PairDispJob{a.buffer.as<const fft::Complex>(),
-                          b.buffer.as<const fft::Complex>()},
-        a.tile, b.tile});
+    pairs.push_back(ClaimedPair{task, a.buffer.as<const fft::Complex>(),
+                                b.buffer.as<const fft::Complex>(), a.tile,
+                                b.tile});
   }
   return pairs;
 }
@@ -908,13 +863,15 @@ StitchResult run_gpu_async(const ResourceSet& rs, const TileProvider& provider,
   StitchResult result(layout);
   OpCountsAtomic counts;
 
-  const std::size_t h = provider.tile_height();
-  const std::size_t w = provider.tile_width();
-  const std::size_t count = h * w;
-  const bool real_fft = options.use_real_fft;
+  // One pipeline serves the GPUs, the CPU band's cache and stolen pairs.
+  // Declared before the GPU pipelines: it must outlive every stream command
+  // that holds a reference to it.
+  const FftPipeline fftp =
+      make_fft_pipeline(provider.tile_height(), provider.tile_width(),
+                        options.rigor, options.use_real_fft);
   // Device buffers hold spectrum bins; half-spectrum mode halves the pools.
-  const std::size_t bins = real_fft ? h * (w / 2 + 1) : count;
-  const std::size_t buffer_bytes = bins * sizeof(fft::Complex);
+  const std::size_t bins = fftp.spectrum_count();
+  const std::size_t buffer_bytes = fftp.transform_bytes();
 
   // Hybrid shape: CPU workers take the rows below the last GPU band.
   const std::vector<RowBand> bands = gpu_row_bands(layout, rs);
@@ -926,14 +883,6 @@ StitchResult run_gpu_async(const ResourceSet& rs, const TileProvider& provider,
   // Tiles per upload/FFT group. The p2p halo protocol needs per-tile FFT
   // events, so under p2p every group is one tile.
   const std::size_t group_k = use_p2p ? 1 : batch_k;
-
-  // Host-side FFT pipeline for pairs executed off the GPU fast path: the
-  // CPU band's cache and pairs stolen from a GPU lane. Built lazily — plan
-  // setup is not free and pure-GPU runs never touch it.
-  FftPipeline host_fftp;
-  if (rs.cpu_workers > 0 || rs.steal_threshold > 0) {
-    host_fftp = make_fft_pipeline(h, w, options.rigor, options.use_real_fft);
-  }
 
   HaloExchange exchange;
 
@@ -994,7 +943,7 @@ StitchResult run_gpu_async(const ResourceSet& rs, const TileProvider& provider,
     config.faults = options.faults;
     config.cancel = options.cancel;
     gpu->device = std::make_unique<vgpu::Device>(config);
-    gpu->ffts.emplace(*gpu->device, h, w, real_fft, options.rigor);
+    gpu->ffts.emplace(*gpu->device, fftp);
     gpu->copy_stream = std::make_unique<vgpu::Stream>(*gpu->device, "copy");
     for (std::size_t s = 0; s < fft_stream_count; ++s) {
       gpu->fft_streams.push_back(std::make_unique<vgpu::Stream>(
@@ -1005,12 +954,8 @@ StitchResult run_gpu_async(const ResourceSet& rs, const TileProvider& provider,
 
     // Per-band pool sizing (pool > band working set) is enforced up front by
     // StitchRequest::validate().
-    const std::size_t pool_size =
-        options.pool_buffers > 0
-            ? options.pool_buffers
-            : traversal_working_set(band, options.traversal) + 4;
-    gpu->pool = std::make_unique<vgpu::BufferPool>(*gpu->device, pool_size,
-                                                   buffer_bytes);
+    gpu->pool = std::make_unique<vgpu::BufferPool>(
+        *gpu->device, pool_slots(options, band), buffer_bytes);
     // Backward-transform buffers are reserved separately so the copier can
     // never starve the displacement stage of working memory (the pool-
     // starvation deadlock a single shared pool invites).
@@ -1070,7 +1015,7 @@ StitchResult run_gpu_async(const ResourceSet& rs, const TileProvider& provider,
   // band's pairs (a halo tile counts only its north pair).
   std::unique_ptr<TransformCache> cpu_cache;
   if (!cpu_pairs.empty()) {
-    cpu_cache = make_transform_cache(provider, host_fftp, counts, options,
+    cpu_cache = make_transform_cache(provider, fftp, counts, options,
                                      tile_refcounts(layout, cpu_pairs));
   }
 
@@ -1112,10 +1057,10 @@ StitchResult run_gpu_async(const ResourceSet& rs, const TileProvider& provider,
     Translation t;
     if (victim != nullptr) {
       const ClaimedPair pair = gather_pairs(*victim, layout, {&task, 1})[0];
-      t = pciam_from_spectra(pair.spectra.fft_reference,
-                             pair.spectra.fft_moved, *pair.reference,
-                             *pair.moved, host_fftp, scratch, &counts,
-                             options.peak_candidates, options.min_overlap_px);
+      t = pciam_from_spectra(pair.spec_reference, pair.spec_moved,
+                             *pair.reference, *pair.moved, fftp, scratch,
+                             &counts, options.peak_candidates,
+                             options.min_overlap_px);
       release_tile(victim, layout, task.reference);
       release_tile(victim, layout, task.moved);
     } else {
@@ -1170,16 +1115,14 @@ StitchResult run_gpu_async(const ResourceSet& rs, const TileProvider& provider,
         [gpu] { gpu->q_read.close(); });
 
     // ---- Stage 2: copier. Host-converts up to group_k tiles into staging
-    // blocks owned by ONE async H2D command (pinned-buffer analogue; the
-    // real-FFT path stages the padded in-place r2c layout), then on to the
-    // FFT stage. Blocking pool acquire = memory back-pressure. Buffer FIRST,
-    // then work item: an unpaired buffer just returns to the pool via its
-    // handle, whereas holding a work item while blocking on a dry pool could
-    // deadlock a pool smaller than the group.
+    // blocks owned by ONE async H2D command (pinned-buffer analogue), then
+    // on to the FFT stage. Blocking pool acquire = memory back-pressure.
+    // Buffer FIRST, then work item: an unpaired buffer just returns to the
+    // pool via its handle, whereas holding a work item while blocking on a
+    // dry pool could deadlock a pool smaller than the group.
     pipeline.add_stage(
         stage + "copy", 1,
-        [gpu, &layout, &exchange, h, w, count, bins, buffer_bytes, real_fft,
-         group_k] {
+        [gpu, &layout, &exchange, &fftp, bins, buffer_bytes, group_k] {
           struct Staged {
             TileWork tile_work;
             vgpu::PooledBuffer buffer;
@@ -1233,13 +1176,7 @@ StitchResult run_gpu_async(const ResourceSet& rs, const TileProvider& provider,
             for (Staged& s : group) {
               Upload up;
               up.staging = std::make_unique<fft::Complex[]>(bins);
-              if (real_fft) {
-                vgpu::k_u16_to_real_padded(s.tile_work.tile->data(),
-                                           up.staging.get(), h, w);
-              } else {
-                vgpu::k_u16_to_complex(s.tile_work.tile->data(),
-                                       up.staging.get(), count);
-              }
+              fftp.stage(*s.tile_work.tile, up.staging.get());
               up.dst = s.buffer.data();
               uploads.push_back(std::move(up));
             }
@@ -1275,7 +1212,8 @@ StitchResult run_gpu_async(const ResourceSet& rs, const TileProvider& provider,
     auto fft_thread_ids = std::make_shared<std::atomic<std::size_t>>(0);
     pipeline.add_stage(
         stage + "fft", fft_stream_count,
-        [gpu, &layout, &counts, &exchange, fft_thread_ids, bins, group_k] {
+        [gpu, &layout, &counts, &exchange, &fftp, fft_thread_ids, bins,
+         group_k] {
           const std::size_t stream_id =
               fft_thread_ids->fetch_add(1, std::memory_order_relaxed) %
               gpu->fft_streams.size();
@@ -1300,7 +1238,7 @@ StitchResult run_gpu_async(const ResourceSet& rs, const TileProvider& provider,
               }
             }
             fft_stream.enqueue(
-                group_label(gpu->ffts->forward_label(), group.size()),
+                group_label(fftp.forward_label(), group.size()),
                 [gpu, datas = std::move(datas)] {
                   for (fft::Complex* data : datas) gpu->ffts->forward(data);
                 });
@@ -1367,13 +1305,14 @@ StitchResult run_gpu_async(const ResourceSet& rs, const TileProvider& provider,
     // ---- Stage 5: displacement. Claims up to gpu_batch_pairs pairs from
     // this GPU's lane; a stolen pair runs synchronously on the host. An
     // own-lane claim of one issues the paper's ncc -> inverse FFT ->
-    // max_reduce sequence, a larger claim ONE grouped k_batched launch
-    // sharing one NCC surface. Both complete their pairs from the stream,
-    // so the displacement thread never blocks on the GPU.
+    // max_reduce sequence, a larger claim ONE "pair_batch" command running
+    // that sequence for each pair over one shared NCC surface. Both
+    // complete their pairs from the stream, so the displacement thread
+    // never blocks on the GPU.
     pipeline.add_stage(
         stage + "displacement", 1,
         [gpu, lane, &work, &lane_owner, &layout, &counts, &q_ccf, &host_pair,
-         count, bins, real_fft, &options, batch_k] {
+         &fftp, bins, &options, batch_k] {
           metrics::Gauge& busy = metrics::wellknown::sched_executor_busy(
               "gpu" + std::to_string(gpu->id));
           PciamScratch scratch;
@@ -1399,43 +1338,35 @@ StitchResult run_gpu_async(const ResourceSet& rs, const TileProvider& provider,
             counts.bump(counts.inverse_ffts, pairs.size());
             counts.bump(counts.max_reductions, pairs.size());
             if (pairs.size() == 1) {
-              const vgpu::PairDispJob job = pairs.front().spectra;
-              disp.enqueue("ncc", [job, fc, bins] {
-                vgpu::k_ncc_half(job.fft_reference, job.fft_moved, fc, bins);
+              disp.enqueue("ncc", [ref = pairs.front().spec_reference,
+                                   mov = pairs.front().spec_moved, fc, bins] {
+                vgpu::k_ncc_half(ref, mov, fc, bins);
               });
-              disp.enqueue(gpu->ffts->inverse_label(),
+              disp.enqueue(fftp.inverse_label(),
                            [gpu, fc] { gpu->ffts->inverse(fc); });
               disp.enqueue(
                   "max_reduce",
-                  [gpu, &layout, &q_ccf, fc, count, peaks_k, real_fft,
+                  [gpu, &layout, &q_ccf, &fftp, fc, peaks_k,
                    ncc = std::move(ncc), pairs = std::move(pairs)]() mutable {
-                    const auto peaks =
-                        real_fft
-                            ? vgpu::k_max_abs_topk_real(
-                                  reinterpret_cast<const double*>(fc), count,
-                                  peaks_k)
-                            : vgpu::k_max_abs_topk(fc, count, peaks_k);
+                    const auto peaks = fftp.peaks(fc, peaks_k);
                     ncc.release();
                     complete_pair(gpu, layout, q_ccf, pairs.front(), peaks);
                   });
             } else {
+              // Pairs in a claim are independent (bookkeeping only emits
+              // pairs whose transforms are resident), so one command runs
+              // each through the unbatched ncc -> inverse -> peak sequence.
               disp.enqueue(
                   "pair_batch",
-                  [gpu, &layout, &q_ccf, fc, count, bins, peaks_k, real_fft,
+                  [gpu, &layout, &q_ccf, &fftp, fc, bins, peaks_k,
                    ncc = std::move(ncc), pairs = std::move(pairs)]() mutable {
-                    std::vector<vgpu::PairDispJob> jobs;
-                    jobs.reserve(pairs.size());
-                    for (const ClaimedPair& pair : pairs) {
-                      jobs.push_back(pair.spectra);
+                    for (ClaimedPair& pair : pairs) {
+                      vgpu::k_ncc_half(pair.spec_reference, pair.spec_moved,
+                                       fc, bins);
+                      gpu->ffts->inverse(fc);
+                      complete_pair(gpu, layout, q_ccf, pair,
+                                    fftp.peaks(fc, peaks_k));
                     }
-                    vgpu::k_batched(
-                        jobs.data(), jobs.size(), fc, bins, count, peaks_k,
-                        real_fft,
-                        [gpu](fft::Complex* data) { gpu->ffts->inverse(data); },
-                        [&](std::size_t i,
-                            std::vector<vgpu::MaxAbsResult> peaks) {
-                          complete_pair(gpu, layout, q_ccf, pairs[i], peaks);
-                        });
                     ncc.release();
                   });
             }
@@ -1483,7 +1414,7 @@ StitchResult run_gpu_async(const ResourceSet& rs, const TileProvider& provider,
   std::atomic<std::size_t> ccf_ids{0};
   pipeline.add_stage(
       "ccf", std::max<std::size_t>(1, options.ccf_threads),
-      [&q_ccf, &result, &counts, &options, &ccf_ids, &pair_latency, w] {
+      [&q_ccf, &result, &counts, &options, &ccf_ids, &pair_latency, &fftp] {
         const std::size_t id = ccf_ids.fetch_add(1, std::memory_order_relaxed);
         const std::string lane = "cpu.ccf" + std::to_string(id);
         while (auto task = q_ccf.pop()) {
@@ -1498,12 +1429,12 @@ StitchResult run_gpu_async(const ResourceSet& rs, const TileProvider& provider,
             auto span = options.recorder->scoped(lane, "ccf");
             translation =
                 disambiguate_peaks(*task->reference, *task->moved,
-                                   task->peak_indices, w,
+                                   task->peak_indices, fftp.width,
                                    options.min_overlap_px);
           } else {
             translation =
                 disambiguate_peaks(*task->reference, *task->moved,
-                                   task->peak_indices, w,
+                                   task->peak_indices, fftp.width,
                                    options.min_overlap_px);
           }
           record_pair(result.table, options, task->moved_pos, task->is_west,
@@ -1615,6 +1546,13 @@ std::vector<RowBand> gpu_row_bands(const img::GridLayout& layout,
         RowBand{g * layout.rows / units, (g + 1) * layout.rows / units});
   }
   return bands;
+}
+
+std::size_t pool_slots(const StitchOptions& options,
+                       const img::GridLayout& grid) {
+  return options.pool_buffers > 0
+             ? options.pool_buffers
+             : traversal_working_set(grid, options.traversal) + 4;
 }
 
 HybridScheduler::HybridScheduler(ResourceSet resources)

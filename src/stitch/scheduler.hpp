@@ -27,8 +27,9 @@
 //    the one per-GPU pipeline, not a second pipeline. The copy and FFT
 //    stages group up to k tiles per enqueue (one under use_p2p, where a
 //    halo pull stays its own item), and the displacement stage claims up to
-//    k pairs and issues a claim of several as ONE vgpu::k_batched launch. A
-//    group or claim of one issues exactly the paper's per-tile and per-pair
+//    k pairs and issues a claim of several as ONE "pair_batch" command that
+//    runs NCC -> inverse FFT -> peak scan for each pair in turn. A group or
+//    claim of one issues exactly the paper's per-tile and per-pair
 //    commands, which is what k = 1 runs. Grouping amortizes Stream::enqueue
 //    overhead the way Accelerating Pathology Image Data Cross-Comparison on
 //    CPU-GPU Hybrid Systems batches small GPU tasks. Semantic op counts
@@ -111,6 +112,14 @@ struct RowBand {
 /// at run time; request validation and pool sizing read it too.
 std::vector<RowBand> gpu_row_bands(const img::GridLayout& layout,
                                    const ResourceSet& resources);
+
+/// Transform slots of a buffer pool serving `grid`: options.pool_buffers
+/// when set, else the traversal's working set plus 4. The paper requires a
+/// pool larger than the grid's smallest dimension; the working set
+/// generalizes that rule per traversal. Pool sizing, request validation and
+/// the predicted footprints all read it.
+std::size_t pool_slots(const StitchOptions& options,
+                       const img::GridLayout& grid);
 
 /// One dispatch loop over pair tasks for any ResourceSet. Preserves every
 /// backend contract: per-pair cancellation polling, warm-start filtering,

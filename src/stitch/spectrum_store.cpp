@@ -94,7 +94,7 @@ bool validate_spectrum_file(const std::string& contents, SpectrumKey* key,
   if (get_u32(contents.data()) != kSpectrumMagic) return false;
   const std::uint32_t len = get_u32(contents.data() + 4);
   if (len > kMaxPayload || kFrameHeader + len != contents.size()) return false;
-  if (crc32c(contents.data() + kFrameHeader, len) !=
+  if (crc32c(contents.data() + kFrameHeader, std::size_t{len}) !=
       get_u32(contents.data() + 8)) {
     return false;
   }

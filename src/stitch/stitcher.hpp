@@ -5,7 +5,6 @@
 #include <atomic>
 #include <string>
 
-#include "common/simd.hpp"
 #include "fft/types.hpp"
 #include "pipeline/cancel.hpp"
 #include "stitch/traversal.hpp"
@@ -116,15 +115,6 @@ struct StitchOptions {
   /// per-tile and per-pair commands; larger values amortize Stream::enqueue
   /// overhead without changing tables or semantic op counts.
   std::size_t gpu_batch_pairs = 1;
-
-  // --- SIMD kernel dispatch (common/simd.hpp) ----------------------------
-  /// Codelet tier for the vectorized kernels (FFT butterflies, transpose,
-  /// NCC, reductions, pixel widening). kAuto = widest the CPU supports,
-  /// after the HS_KERNEL_DISPATCH environment variable; a concrete tier is
-  /// forced at stitch() entry via common::set_forced_tier (process-global —
-  /// concurrent stitches share it; clamped to CPU capabilities). Tables are
-  /// bit-identical across tiers, so this knob trades wall-clock only.
-  common::KernelDispatch kernel_dispatch = common::KernelDispatch::kAuto;
 
   // --- serve-layer hooks -------------------------------------------------
   /// Cooperative cancellation: every backend polls this between pairs (and

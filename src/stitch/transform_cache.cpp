@@ -92,6 +92,18 @@ const fft::Complex* TransformCache::transform_impl(img::TilePos pos,
       tile = provider_.load(pos);
       if (counts_ != nullptr) counts_->bump(counts_->tile_reads);
     }
+    // The forward transform runs in place in the spectrum's own storage.
+    auto compute_spectrum = [&] {
+      auto computed = std::make_shared<std::vector<fft::Complex>>(
+          pipeline_.spectrum_count());
+      pipeline_.stage(tile, computed->data());
+      pipeline_.forward_inplace(computed->data());
+      if (counts_ != nullptr) {
+        counts_->bump(counts_->forward_ffts);
+        counts_->bump(counts_->transform_bins, pipeline_.spectrum_count());
+      }
+      return computed;
+    };
     std::shared_ptr<const std::vector<fft::Complex>> spectrum;
     if (shared_.cache != nullptr) {
       if (!have_digest) {
@@ -105,31 +117,15 @@ const fft::Complex* TransformCache::transform_impl(img::TilePos pos,
       spectrum = shared_.cache->find_spectrum(key, shared_.tenant,
                                               shared_.tenant_quota_bytes);
       if (spectrum == nullptr) {
-        auto computed = std::make_shared<std::vector<fft::Complex>>(
-            pipeline_.spectrum_count());
-        thread_local PciamScratch scratch;
-        tile_forward_spectrum(tile, pipeline_, computed->data(), scratch);
-        if (counts_ != nullptr) {
-          counts_->bump(counts_->forward_ffts);
-          counts_->bump(counts_->transform_bins, pipeline_.spectrum_count());
-        }
         spectrum = shared_.cache->insert_spectrum(
-            key, std::move(computed), shared_.tenant,
+            key, compute_spectrum(), shared_.tenant,
             shared_.tenant_quota_bytes, shared_.spill);
       }
       // Spectrum-store hits skip the FFT entirely, so forward_ffts and
       // transform_bins stay untouched — the op counters keep reporting the
       // work actually performed, which is what the dedup tests assert.
     } else {
-      auto computed = std::make_shared<std::vector<fft::Complex>>(
-          pipeline_.spectrum_count());
-      thread_local PciamScratch scratch;
-      tile_forward_spectrum(tile, pipeline_, computed->data(), scratch);
-      if (counts_ != nullptr) {
-        counts_->bump(counts_->forward_ffts);
-        counts_->bump(counts_->transform_bins, pipeline_.spectrum_count());
-      }
-      spectrum = std::move(computed);
+      spectrum = compute_spectrum();
     }
 
     lock.lock();

@@ -244,24 +244,4 @@ std::vector<MaxAbsResult> k_max_abs_topk_real(const double* data,
   return out;
 }
 
-void k_batched(
-    const PairDispJob* jobs, std::size_t count_jobs, fft::Complex* scratch,
-    std::size_t bins, std::size_t surface_count, std::size_t peaks_k,
-    bool real_fft, const std::function<void(fft::Complex*)>& inverse,
-    const std::function<void(std::size_t, std::vector<MaxAbsResult>)>& done) {
-  // Pairs in a batch are independent (the scheduler only groups tasks whose
-  // transforms are already resident), so a simple sequential loop over one
-  // shared scratch surface is the whole kernel. Each iteration is exactly
-  // the unbatched "ncc" -> "ifft2d" -> "max_reduce" command sequence.
-  for (std::size_t i = 0; i < count_jobs; ++i) {
-    k_ncc_half(jobs[i].fft_reference, jobs[i].fft_moved, scratch, bins);
-    inverse(scratch);
-    std::vector<MaxAbsResult> peaks =
-        real_fft ? k_max_abs_topk_real(reinterpret_cast<const double*>(scratch),
-                                       surface_count, peaks_k)
-                 : k_max_abs_topk(scratch, surface_count, peaks_k);
-    done(i, std::move(peaks));
-  }
-}
-
 }  // namespace hs::vgpu

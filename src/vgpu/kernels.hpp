@@ -20,7 +20,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <vector>
 
 #include "fft/types.hpp"
@@ -103,30 +102,5 @@ std::vector<MaxAbsResult> k_max_abs_topk(const fft::Complex* data,
 std::vector<MaxAbsResult> k_max_abs_topk_real(const double* data,
                                               std::size_t count,
                                               std::size_t k);
-
-/// One pair's inputs to the batched displacement kernel: both forward
-/// spectra, resident on the device.
-struct PairDispJob {
-  const fft::Complex* fft_reference = nullptr;
-  const fft::Complex* fft_moved = nullptr;
-};
-
-/// Grouped pair-displacement entry point: runs NCC multiply -> inverse
-/// transform -> top-k max reduction for `count_jobs` pairs inside ONE
-/// kernel launch, sharing a single `scratch` surface of `bins` complex
-/// values. Amortizes per-launch (Stream::enqueue) overhead exactly the way
-/// batching small GPU tasks amortizes CUDA launch latency; per-pair math is
-/// unchanged, so tables stay bit-identical to unbatched dispatch.
-///
-/// `inverse` must transform `scratch` in place (complex mode) or into the
-/// packed real layout read by k_max_abs_topk_real (real mode, real_fft =
-/// true; `surface_count` is then the real surface size h*w while `bins` is
-/// the half-spectrum size). `done(i, peaks)` is invoked for each job, in
-/// order, with its top-`peaks_k` correlation peaks.
-void k_batched(
-    const PairDispJob* jobs, std::size_t count_jobs, fft::Complex* scratch,
-    std::size_t bins, std::size_t surface_count, std::size_t peaks_k,
-    bool real_fft, const std::function<void(fft::Complex*)>& inverse,
-    const std::function<void(std::size_t, std::vector<MaxAbsResult>)>& done);
 
 }  // namespace hs::vgpu

@@ -5,23 +5,6 @@
 
 namespace hs::vgpu {
 
-namespace {
-
-/// Runs `kernel` as one FFT kernel on `device`: serialized against every
-/// other FFT kernel on the device (Fermi), or free to overlap with FFT
-/// kernels on other streams when the device models Kepler/Hyper-Q.
-template <typename Kernel>
-void run_fft_kernel(Device& device, const Kernel& kernel) {
-  if (device.config().concurrent_fft_kernels) {
-    kernel();
-    return;
-  }
-  std::lock_guard<std::mutex> lock(device.fft_mutex());
-  kernel();
-}
-
-}  // namespace
-
 VFftPlan2d::VFftPlan2d(Device& device, std::size_t height, std::size_t width,
                        fft::Direction dir, fft::Rigor rigor)
     : device_(&device),
@@ -52,24 +35,6 @@ void VFftPlan2d::enqueue_inplace(Stream& stream, DeviceBuffer& data,
 
 void VFftPlan2d::execute_inplace(fft::Complex* data) const {
   run_fft_kernel(*device_, [&] { plan_->execute_inplace(data); });
-}
-
-VFftPlanR2c2d::VFftPlanR2c2d(Device& device, std::size_t height,
-                             std::size_t width, fft::Rigor rigor)
-    : device_(&device),
-      plan_(fft::PlanCache::instance().plan_r2c_2d(height, width, rigor)) {}
-
-void VFftPlanR2c2d::execute_inplace_padded(fft::Complex* data) const {
-  run_fft_kernel(*device_, [&] { plan_->execute_inplace_padded(data); });
-}
-
-VFftPlanC2r2d::VFftPlanC2r2d(Device& device, std::size_t height,
-                             std::size_t width, fft::Rigor rigor)
-    : device_(&device),
-      plan_(fft::PlanCache::instance().plan_c2r_2d(height, width, rigor)) {}
-
-void VFftPlanC2r2d::execute_inplace_half(fft::Complex* data) const {
-  run_fft_kernel(*device_, [&] { plan_->execute_inplace_half(data); });
 }
 
 }  // namespace hs::vgpu

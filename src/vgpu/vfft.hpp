@@ -1,22 +1,36 @@
 // cuFFT-analog: FFT plans executing on virtual-GPU streams.
 //
 // Mirrors the paper's cuFFT usage: plans are created per tile size and
-// executed on a device's streams. Every device FFT kernel — a stream
-// command of its own (enqueue*) or one transform inside a command that
-// groups several (execute*) — runs through one execute path in vfft.cpp
-// that applies the device's FFT-kernel rule: reproducing the Fermi-era
-// cuFFT register pressure restriction the paper calls out, at most one FFT
-// kernel runs on a device at a time (Device::fft_mutex), unless the device
-// models Kepler's concurrent FFT kernels
-// (DeviceConfig::concurrent_fft_kernels).
+// executed on a device's streams. Every device FFT kernel — a VFftPlan2d
+// command, or one transform of the stitching pipeline inside a stream
+// command — runs through run_fft_kernel, which applies the device's
+// FFT-kernel rule: reproducing the Fermi-era cuFFT register pressure
+// restriction the paper calls out, at most one FFT kernel runs on a device
+// at a time (Device::fft_mutex), unless the device models Kepler's
+// concurrent FFT kernels (DeviceConfig::concurrent_fft_kernels).
 #pragma once
 
 #include <memory>
+#include <mutex>
 
 #include "fft/plan2d.hpp"
 #include "vgpu/stream.hpp"
 
 namespace hs::vgpu {
+
+/// Runs `kernel` as one FFT kernel on `device`: serialized against every
+/// other FFT kernel on the device (Fermi), or free to overlap with FFT
+/// kernels on other streams when the device models Kepler/Hyper-Q. Call it
+/// from inside a stream command.
+template <typename Kernel>
+void run_fft_kernel(Device& device, const Kernel& kernel) {
+  if (device.config().concurrent_fft_kernels) {
+    kernel();
+    return;
+  }
+  std::lock_guard<std::mutex> lock(device.fft_mutex());
+  kernel();
+}
 
 class VFftPlan2d {
  public:
@@ -47,51 +61,6 @@ class VFftPlan2d {
  private:
   Device* device_;
   std::shared_ptr<const fft::Plan2d> plan_;
-};
-
-/// Device-side forward real-to-complex plan (cuFFT R2C analog). Operates on
-/// a pooled buffer of spectrum_count() Complex values in the padded in-place
-/// layout (see PlanR2c2d::execute_inplace_padded): real rows staged at
-/// double stride 2*(w/2+1), half spectrum on completion.
-class VFftPlanR2c2d {
- public:
-  VFftPlanR2c2d(Device& device, std::size_t height, std::size_t width,
-                fft::Rigor rigor = fft::Rigor::kEstimate);
-
-  /// Runs the transform on the calling thread as one device FFT kernel;
-  /// call it from inside a stream command.
-  void execute_inplace_padded(fft::Complex* data) const;
-
-  std::size_t height() const { return plan_->height(); }
-  std::size_t width() const { return plan_->width(); }
-  std::size_t spectrum_count() const { return plan_->spectrum_count(); }
-  std::size_t bytes() const { return spectrum_count() * sizeof(fft::Complex); }
-
- private:
-  Device* device_;
-  std::shared_ptr<const fft::PlanR2c2d> plan_;
-};
-
-/// Device-side inverse complex-to-real plan (cuFFT C2R analog). The buffer
-/// holds the half spectrum on entry and height*width packed doubles on
-/// completion (see PlanC2r2d::execute_inplace_half).
-class VFftPlanC2r2d {
- public:
-  VFftPlanC2r2d(Device& device, std::size_t height, std::size_t width,
-                fft::Rigor rigor = fft::Rigor::kEstimate);
-
-  /// Runs the transform on the calling thread as one device FFT kernel;
-  /// call it from inside a stream command.
-  void execute_inplace_half(fft::Complex* data) const;
-
-  std::size_t height() const { return plan_->height(); }
-  std::size_t width() const { return plan_->width(); }
-  std::size_t spectrum_count() const { return plan_->spectrum_count(); }
-  std::size_t bytes() const { return spectrum_count() * sizeof(fft::Complex); }
-
- private:
-  Device* device_;
-  std::shared_ptr<const fft::PlanC2r2d> plan_;
 };
 
 }  // namespace hs::vgpu

@@ -473,19 +473,18 @@ TEST(SimdPlanCache, ForcedTierJoinsTheCacheKey) {
 
 // --- option plumbing ------------------------------------------------------
 
-TEST(SimdOptions, KernelDispatchSerdeRoundTrips) {
-  stitch::StitchRequest request;
-  request.backend = stitch::Backend::kSimpleCpu;
-  for (const auto d : kForcedTiers) {
-    request.options.kernel_dispatch = d;
-    const auto back =
-        stitch::deserialize_request(stitch::serialize_request(request));
-    EXPECT_EQ(back.options.kernel_dispatch, d) << common::dispatch_name(d);
-  }
-  EXPECT_THROW(
-      stitch::deserialize_request("backend=simple-cpu\n"
-                                  "o.kernel_dispatch=warp9\n"),
-      IoError);
+TEST(SimdOptions, JobRequestLeavesProcessTierAlone) {
+  // The tier is process-wide and jobs carry none: a request naming one (as
+  // journals written by older builds do) must neither fail to replay nor
+  // change the tier every concurrent and later job runs under.
+  ScopedKernelDispatch guard(KernelDispatch::kAuto);
+  const auto grid = testing::make_grid(2, 2);
+  stitch::MemoryTileProvider provider(&grid.tiles, grid.layout);
+  stitch::StitchRequest request = stitch::deserialize_request(
+      "backend=simple-cpu\no.kernel_dispatch=scalar\n");
+  request.provider = &provider;
+  (void)stitch::stitch(request);
+  EXPECT_EQ(common::forced_tier(), KernelDispatch::kAuto);
 }
 
 // --- end-to-end: displacement tables are tier-invariant -------------------
@@ -498,19 +497,15 @@ TEST_P(AllBackendsAllTiers, TableBitIdenticalToScalarReference) {
   const auto [backend, dispatch] = GetParam();
   const auto grid = testing::make_grid(3, 3);
   stitch::MemoryTileProvider provider(&grid.tiles, grid.layout);
-  auto options = testing::fast_options();
+  const auto options = testing::fast_options();
 
-  options.kernel_dispatch = KernelDispatch::kScalar;
-  const auto reference =
-      stitch::stitch(stitch::Backend::kSimpleCpu, provider, options);
-
-  // stitch() forces the tier process-wide and deliberately leaves kAuto
-  // requests on the previous forcing (a CLI/env setting must survive serve
-  // jobs) — reset between runs so kAuto below really means "detected".
-  common::set_forced_tier(KernelDispatch::kAuto);
-  options.kernel_dispatch = dispatch;
+  stitch::StitchResult reference;
+  {
+    ScopedKernelDispatch forced(KernelDispatch::kScalar);
+    reference = stitch::stitch(stitch::Backend::kSimpleCpu, provider, options);
+  }
+  ScopedKernelDispatch forced(dispatch);
   const auto result = stitch::stitch(backend, provider, options);
-  common::set_forced_tier(KernelDispatch::kAuto);
   EXPECT_TRUE(testing::tables_identical(reference.table, result.table))
       << stitch::backend_name(backend) << " under "
       << common::dispatch_name(dispatch);

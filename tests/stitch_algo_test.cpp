@@ -3,15 +3,20 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstring>
 #include <set>
+#include <string>
+#include <tuple>
 
 #include "common/rng.hpp"
+#include "common/simd.hpp"
 #include "fft/plan_cache.hpp"
 #include "simdata/plate.hpp"
 #include "stitch/ccf.hpp"
 #include "stitch/pciam.hpp"
 #include "stitch/transform_cache.hpp"
 #include "stitch/traversal.hpp"
+#include "vgpu/kernels.hpp"
 
 namespace hs::stitch {
 namespace {
@@ -175,6 +180,88 @@ TEST(Pciam, CountsOperations) {
     EXPECT_EQ(ops.inverse_ffts, 1u);
   }
 }
+
+// --- in-place pipeline steps vs the out-of-place plans ----------------------
+
+// Every path transforms in place through FftPipeline. Spectra written by the
+// out-of-place plans (spill frames, shared-cache entries) stay valid only if
+// both forms produce the same bits, so compare bytes, not values. The odd
+// widths exercise the r2c odd-length fallback.
+class FftPipelineInPlace
+    : public ::testing::TestWithParam<std::tuple<
+          std::size_t, std::size_t, bool, common::KernelDispatch>> {};
+
+TEST_P(FftPipelineInPlace, BitIdenticalToOutOfPlacePlans) {
+  const auto [h, w, real_fft, dispatch] = GetParam();
+  const common::ScopedKernelDispatch forced(dispatch);
+  const FftPipeline pipeline =
+      make_fft_pipeline(h, w, fft::Rigor::kEstimate, real_fft);
+  const std::size_t count = h * w;
+  const std::size_t bins = pipeline.spectrum_count();
+
+  // Forward: tile_forward_spectrum vs widen + the out-of-place plan.
+  auto out_of_place_spectrum = [&](const img::ImageU16& tile) {
+    std::vector<fft::Complex> spectrum(bins);
+    if (real_fft) {
+      std::vector<double> reals(count);
+      vgpu::k_u16_to_real_scalar(tile.data(), reals.data(), count);
+      pipeline.r2c->execute(reals.data(), spectrum.data());
+    } else {
+      std::vector<fft::Complex> widened(count);
+      vgpu::k_u16_to_complex_scalar(tile.data(), widened.data(), count);
+      pipeline.forward->execute(widened.data(), spectrum.data());
+    }
+    return spectrum;
+  };
+  PciamScratch scratch;
+  std::vector<std::vector<fft::Complex>> spectra;
+  for (const std::uint64_t seed : {21, 22}) {
+    const auto tile = random_tile(h, w, seed);
+    spectra.emplace_back(bins);
+    tile_forward_spectrum(tile, pipeline, spectra.back().data(), scratch);
+    EXPECT_EQ(std::memcmp(spectra.back().data(),
+                          out_of_place_spectrum(tile).data(),
+                          bins * sizeof(fft::Complex)),
+              0)
+        << "forward, tile seed " << seed;
+  }
+
+  // Inverse: inverse_inplace vs the out-of-place plan on one NCC product.
+  std::vector<fft::Complex> product(bins);
+  vgpu::k_ncc_half(spectra[0].data(), spectra[1].data(), product.data(),
+                   bins);
+  std::vector<fft::Complex> surface = product;
+  pipeline.inverse_inplace(surface.data());
+  if (real_fft) {
+    std::vector<double> reference(count);
+    pipeline.c2r->execute(product.data(), reference.data());
+    EXPECT_EQ(std::memcmp(surface.data(), reference.data(),
+                          count * sizeof(double)),
+              0);
+  } else {
+    std::vector<fft::Complex> reference(count);
+    pipeline.inverse->execute(product.data(), reference.data());
+    EXPECT_EQ(std::memcmp(surface.data(), reference.data(),
+                          count * sizeof(fft::Complex)),
+              0);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    ShapesModesTiers, FftPipelineInPlace,
+    ::testing::Combine(::testing::Values<std::size_t>(29, 520),
+                       ::testing::Values<std::size_t>(29, 87, 696),
+                       ::testing::Bool(),
+                       ::testing::Values(common::KernelDispatch::kScalar,
+                                         common::KernelDispatch::kSse2,
+                                         common::KernelDispatch::kAvx2)),
+    [](const auto& param_info) {
+      const auto& p = param_info.param;
+      return "h" + std::to_string(std::get<0>(p)) + "_w" +
+             std::to_string(std::get<1>(p)) +
+             (std::get<2>(p) ? "_r2c_" : "_c2c_") +
+             common::dispatch_name(std::get<3>(p));
+    });
 
 // --- traversal -------------------------------------------------------------------
 
