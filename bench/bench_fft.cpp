@@ -7,6 +7,7 @@
 //     benches elsewhere in this suite.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <map>
 #include <string>
@@ -134,6 +135,57 @@ void BM_Fft2dComplexToReal(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_Fft2dComplexToReal)->Args({256, 256})->Args({260, 348})->Repetitions(3);
+
+void BM_Fft2dInPlace(benchmark::State& state) {
+  // The in-place entry points every executor runs through FftPipeline:
+  // kind 0 = Plan2d::execute_inplace (complex), 1 =
+  // PlanR2c2d::execute_inplace_padded, 2 = PlanC2r2d::execute_inplace_half.
+  // Each call overwrites its input, so the input is restored with timing
+  // paused before every call.
+  const auto kind = state.range(0);
+  const auto h = static_cast<std::size_t>(state.range(1));
+  const auto w = static_cast<std::size_t>(state.range(2));
+  const Plan2d c2c(h, w, Direction::kForward);
+  const PlanR2c2d r2c(h, w);
+  const hs::fft::PlanC2r2d c2r(h, w);
+  std::vector<Complex> input;
+  if (kind == 0) {
+    input = random_signal(h * w);
+  } else {
+    // Padded r2c layout: row r's w reals start at double offset r * 2 * sw.
+    const std::size_t sw = r2c.spectrum_width();
+    input.assign(h * sw, Complex(0.0, 0.0));
+    auto* rows = reinterpret_cast<double*>(input.data());
+    hs::Rng rng(h * w);
+    for (std::size_t r = 0; r < h; ++r) {
+      for (std::size_t c = 0; c < w; ++c) {
+        rows[r * 2 * sw + c] = rng.next_double();
+      }
+    }
+    // The c2r leg inverts a real signal's half spectrum.
+    if (kind == 2) r2c.execute_inplace_padded(input.data());
+  }
+  std::vector<Complex> data(input.size());
+  for (auto _ : state) {
+    state.PauseTiming();
+    std::copy(input.begin(), input.end(), data.begin());
+    state.ResumeTiming();
+    if (kind == 0) {
+      c2c.execute_inplace(data.data());
+    } else if (kind == 1) {
+      r2c.execute_inplace_padded(data.data());
+    } else {
+      c2r.execute_inplace_half(data.data());
+    }
+    benchmark::DoNotOptimize(data.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetLabel(kind == 0 ? "c2c" : kind == 1 ? "r2c_padded" : "c2r_half");
+}
+BENCHMARK(BM_Fft2dInPlace)
+    ->ArgsProduct({{0, 1, 2}, {260}, {348}})
+    ->ArgsProduct({{0, 1, 2}, {520}, {696}})
+    ->Repetitions(3);
 
 void BM_Fft2dTwoForOne(benchmark::State& state) {
   // Both tiles of a pair through one complex transform (the NaivePairwise

@@ -1,7 +1,6 @@
 #include "fft/plan1d.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <chrono>
 #include <cmath>
 #include <numbers>
@@ -17,13 +16,10 @@ namespace hs::fft {
 
 namespace {
 
-std::atomic<std::uint64_t> g_1d{0}, g_2d{0}, g_blue{0};
-
 // ---------------------------------------------------------------------------
 // Thread-local scratch arena with stack discipline. FFT executions may nest
-// (a 2-D plan holds a lease while running strided 1-D passes; Bluestein runs
-// inner power-of-two plans), so leases bump an offset and restore it on
-// destruction.
+// (Bluestein holds a lease while its inner power-of-two plans take their
+// own), so leases bump an offset and restore it on destruction.
 // ---------------------------------------------------------------------------
 struct ScratchArena {
   std::vector<Complex> storage;
@@ -221,24 +217,6 @@ std::vector<std::vector<int>> candidate_orders(const std::vector<int>& primes,
 
 }  // namespace
 
-Stats stats() {
-  return Stats{g_1d.load(std::memory_order_relaxed),
-               g_2d.load(std::memory_order_relaxed),
-               g_blue.load(std::memory_order_relaxed)};
-}
-
-void reset_stats() {
-  g_1d.store(0, std::memory_order_relaxed);
-  g_2d.store(0, std::memory_order_relaxed);
-  g_blue.store(0, std::memory_order_relaxed);
-}
-
-namespace detail {
-void count_1d() { g_1d.fetch_add(1, std::memory_order_relaxed); }
-void count_2d() { g_2d.fetch_add(1, std::memory_order_relaxed); }
-void count_bluestein() { g_blue.fetch_add(1, std::memory_order_relaxed); }
-}  // namespace detail
-
 bool is_smooth(std::size_t n) {
   for (int p : prime_factors(n)) {
     if (p > kMaxDirectRadix) return false;
@@ -296,21 +274,18 @@ struct BluesteinState {
     fwd->execute(b.data(), kernel_fft.data());
   }
 
-  void run(const Complex* in, std::size_t stride, Complex* out,
-           std::size_t out_stride) const {
+  // `out` may be `in`: every input element is read before any is written.
+  void run(const Complex* in, Complex* out) const {
     ScratchLease lease(2 * m);
     Complex* a = lease.get();
     Complex* work = a + m;
-    for (std::size_t k = 0; k < n; ++k) a[k] = in[k * stride] * chirp[k];
+    for (std::size_t k = 0; k < n; ++k) a[k] = in[k] * chirp[k];
     std::fill(a + n, a + m, Complex(0.0, 0.0));
     fwd->execute(a, work);
     for (std::size_t t = 0; t < m; ++t) work[t] *= kernel_fft[t];
     inv->execute(work, a);
     const double scale = 1.0 / static_cast<double>(m);
-    for (std::size_t k = 0; k < n; ++k) {
-      out[k * out_stride] = a[k] * chirp[k] * scale;
-    }
-    detail::count_bluestein();
+    for (std::size_t k = 0; k < n; ++k) out[k] = a[k] * chirp[k] * scale;
   }
 };
 
@@ -417,49 +392,22 @@ Plan1d& Plan1d::operator=(Plan1d&&) noexcept = default;
 
 void Plan1d::execute(const Complex* in, Complex* out) const {
   HS_ASSERT(in != out);
-  detail::count_1d();
   if (impl_->bluestein) {
-    impl_->blue->run(in, 1, out, 1);
+    impl_->blue->run(in, out);
   } else {
     impl_->smooth.run(in, 1, out, 0);
   }
 }
 
 void Plan1d::execute_inplace(Complex* data) const {
-  detail::count_1d();
   if (impl_->bluestein) {
-    impl_->blue->run(data, 1, data, 1);
+    impl_->blue->run(data, data);
     return;
   }
   ScratchLease lease(impl_->n);
   Complex* scratch = lease.get();
   std::copy(data, data + impl_->n, scratch);
   impl_->smooth.run(scratch, 1, data, 0);
-}
-
-void Plan1d::execute_strided(const Complex* in, std::size_t in_stride,
-                             Complex* out, std::size_t out_stride) const {
-  detail::count_1d();
-  if (impl_->bluestein) {
-    impl_->blue->run(in, in_stride, out, out_stride);
-    return;
-  }
-  if (out_stride == 1 && (in != out || in_stride != 1)) {
-    // The recursive kernel reads strided input natively.
-    if (in == out) {
-      ScratchLease lease(impl_->n);
-      Complex* scratch = lease.get();
-      for (std::size_t i = 0; i < impl_->n; ++i) scratch[i] = in[i * in_stride];
-      impl_->smooth.run(scratch, 1, out, 0);
-    } else {
-      impl_->smooth.run(in, in_stride, out, 0);
-    }
-    return;
-  }
-  ScratchLease lease(impl_->n);
-  Complex* scratch = lease.get();
-  impl_->smooth.run(in, in_stride, scratch, 0);
-  for (std::size_t i = 0; i < impl_->n; ++i) out[i * out_stride] = scratch[i];
 }
 
 std::size_t Plan1d::size() const { return impl_->n; }

@@ -57,11 +57,6 @@ class Plan1d {
   /// In-place transform (uses scratch internally).
   void execute_inplace(Complex* data) const;
 
-  /// Strided out-of-place transform: element i is read from in[i*in_stride]
-  /// and written to out[i*out_stride]. Used by 2-D column passes.
-  void execute_strided(const Complex* in, std::size_t in_stride, Complex* out,
-                       std::size_t out_stride) const;
-
   std::size_t size() const;
   Direction direction() const;
 

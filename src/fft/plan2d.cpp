@@ -7,6 +7,24 @@
 
 namespace hs::fft {
 
+namespace {
+
+// The column pass every 2-D entry point shares: transpose the rows x cols
+// array `in` into scratch, transform each column there as a unit-stride row,
+// transpose back into `out`. `out` may be `in`.
+void column_pass(const codelets::Set& cod, const Plan1d& col,
+                 const Complex* in, Complex* out, std::size_t rows,
+                 std::size_t cols) {
+  std::vector<Complex> scratch(rows * cols);
+  cod.transpose(in, scratch.data(), rows, cols);
+  for (std::size_t c = 0; c < cols; ++c) {
+    col.execute_inplace(scratch.data() + c * rows);
+  }
+  cod.transpose(scratch.data(), out, cols, rows);
+}
+
+}  // namespace
+
 void transpose(const Complex* in, Complex* out, std::size_t rows,
                std::size_t cols) {
   // Free-function form dispatches per call; plans capture their codelet set
@@ -27,41 +45,19 @@ Plan2d::Plan2d(std::size_t height, std::size_t width, Direction dir,
 
 common::SimdTier Plan2d::simd_tier() const { return cod_->tier; }
 
-void Plan2d::run(const Complex* in, Complex* out) const {
-  // Row pass at unit stride.
+void Plan2d::execute(const Complex* in, Complex* out) const {
+  HS_ASSERT(in != out);
   for (std::size_t r = 0; r < h_; ++r) {
     row_.execute(in + r * w_, out + r * w_);
   }
-  // Column pass: transpose, transform rows of the transposed array at unit
-  // stride, transpose back.
-  std::vector<Complex> scratch(h_ * w_);
-  cod_->transpose(out, scratch.data(), h_, w_);
-  for (std::size_t c = 0; c < w_; ++c) {
-    col_.execute_inplace(scratch.data() + c * h_);
-  }
-  cod_->transpose(scratch.data(), out, w_, h_);
-  detail::count_2d();
-}
-
-void Plan2d::execute(const Complex* in, Complex* out) const {
-  HS_ASSERT(in != out);
-  run(in, out);
+  column_pass(*cod_, col_, out, out, h_, w_);
 }
 
 void Plan2d::execute_inplace(Complex* data) const {
-  // The row pass would read rows it has already overwritten only if in and
-  // out alias row-by-row, which is exactly the in-place case: each row
-  // transform is out-of-place per row, so route rows through execute_inplace.
   for (std::size_t r = 0; r < h_; ++r) {
     row_.execute_inplace(data + r * w_);
   }
-  std::vector<Complex> scratch(h_ * w_);
-  cod_->transpose(data, scratch.data(), h_, w_);
-  for (std::size_t c = 0; c < w_; ++c) {
-    col_.execute_inplace(scratch.data() + c * h_);
-  }
-  cod_->transpose(scratch.data(), data, w_, h_);
-  detail::count_2d();
+  column_pass(*cod_, col_, data, data, h_, w_);
 }
 
 PlanR2c2d::PlanR2c2d(std::size_t height, std::size_t width, Rigor rigor)
@@ -79,13 +75,7 @@ void PlanR2c2d::execute(const double* in, Complex* out) const {
     row_.execute(in + r * w_, out + r * sw);
   }
   // Full complex FFT down each of the sw retained columns.
-  std::vector<Complex> scratch(h_ * sw);
-  cod_->transpose(out, scratch.data(), h_, sw);
-  for (std::size_t c = 0; c < sw; ++c) {
-    col_.execute_inplace(scratch.data() + c * h_);
-  }
-  cod_->transpose(scratch.data(), out, sw, h_);
-  detail::count_2d();
+  column_pass(*cod_, col_, out, out, h_, sw);
 }
 
 void PlanR2c2d::execute_inplace_padded(Complex* data) const {
@@ -96,13 +86,7 @@ void PlanR2c2d::execute_inplace_padded(Complex* data) const {
   for (std::size_t r = 0; r < h_; ++r) {
     row_.execute(reals + r * 2 * sw, data + r * sw);
   }
-  std::vector<Complex> scratch(h_ * sw);
-  cod_->transpose(data, scratch.data(), h_, sw);
-  for (std::size_t c = 0; c < sw; ++c) {
-    col_.execute_inplace(scratch.data() + c * h_);
-  }
-  cod_->transpose(scratch.data(), data, sw, h_);
-  detail::count_2d();
+  column_pass(*cod_, col_, data, data, h_, sw);
 }
 
 PlanC2r2d::PlanC2r2d(std::size_t height, std::size_t width, Rigor rigor)
@@ -117,33 +101,17 @@ common::SimdTier PlanC2r2d::simd_tier() const { return cod_->tier; }
 void PlanC2r2d::execute(const Complex* in, double* out) const {
   const std::size_t sw = spectrum_width();
   // Inverse column pass first (undoing the forward order), then row c2r.
-  std::vector<Complex> scratch(h_ * sw), cols(h_ * sw);
-  cod_->transpose(in, cols.data(), h_, sw);
-  for (std::size_t c = 0; c < sw; ++c) {
-    col_.execute_inplace(cols.data() + c * h_);
-  }
-  cod_->transpose(cols.data(), scratch.data(), sw, h_);
+  std::vector<Complex> cols(h_ * sw);
+  column_pass(*cod_, col_, in, cols.data(), h_, sw);
   for (std::size_t r = 0; r < h_; ++r) {
-    row_.execute(scratch.data() + r * sw, out + r * w_);
+    row_.execute(cols.data() + r * sw, out + r * w_);
   }
-  detail::count_2d();
 }
 
 void PlanC2r2d::execute_inplace_half(Complex* data) const {
-  const std::size_t sw = spectrum_width();
-  std::vector<Complex> scratch(h_ * sw), cols(h_ * sw);
-  cod_->transpose(data, cols.data(), h_, sw);
-  for (std::size_t c = 0; c < sw; ++c) {
-    col_.execute_inplace(cols.data() + c * h_);
-  }
-  cod_->transpose(cols.data(), scratch.data(), sw, h_);
-  // Input is fully in scratch now; pack the real rows contiguously into the
-  // front of the buffer.
-  double* out = reinterpret_cast<double*>(data);
-  for (std::size_t r = 0; r < h_; ++r) {
-    row_.execute(scratch.data() + r * sw, out + r * w_);
-  }
-  detail::count_2d();
+  // execute() reads all of `in` into its column buffers before it writes
+  // `out`, so the real rows can pack into the front of the same buffer.
+  execute(data, reinterpret_cast<double*>(data));
 }
 
 }  // namespace hs::fft

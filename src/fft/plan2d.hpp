@@ -2,8 +2,10 @@
 //
 // The complex plan is the workhorse of the stitching algorithm: every tile's
 // forward transform and every pair's inverse NCC transform is a Plan2d
-// execution (paper Table I: 3nm-n-m transforms for an n x m grid). Columns
-// are processed via blocked transposes so both passes run at unit stride.
+// execution (paper Table I: 3nm-n-m transforms for an n x m grid). Every
+// plan pairs a row pass with one shared column pass (a blocked transpose, a
+// unit-stride 1-D transform per column, a transpose back), so both passes
+// run at unit stride; the c2r plan runs its columns first.
 #pragma once
 
 #include <cstddef>
@@ -47,8 +49,6 @@ class Plan2d {
   common::SimdTier fft_tier() const { return row_.simd_tier(); }
 
  private:
-  void run(const Complex* in, Complex* out) const;
-
   std::size_t h_;
   std::size_t w_;
   Direction dir_;

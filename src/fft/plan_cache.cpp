@@ -33,29 +33,22 @@ metrics::Counter& tier_hits(common::SimdTier tier) {
   return scalar;
 }
 
-// Keeps the hs_kernel_dispatch info gauges for a family current; the gauge
-// write happens only when the tier actually changes.
-void note_dispatch(const char* family, std::atomic<int>& last,
-                   common::SimdTier tier) {
-  const int t = static_cast<int>(tier);
-  if (last.exchange(t, std::memory_order_relaxed) != t) {
-    metrics::wellknown::note_kernel_dispatch(family, tier);
-  }
+// Keeps the hs_kernel_dispatch info gauges of the transpose and fft
+// families current. Each family keeps one last-tier state, shared by every
+// plan kind, and its gauge is written only when the tier actually changes.
+void note_dispatch(common::SimdTier transpose, common::SimdTier fft) {
+  static std::atomic<int> last_transpose{-1};
+  static std::atomic<int> last_fft{-1};
+  const auto note = [](const char* family, std::atomic<int>& last,
+                       common::SimdTier tier) {
+    const int t = static_cast<int>(tier);
+    if (last.exchange(t, std::memory_order_relaxed) != t) {
+      metrics::wellknown::note_kernel_dispatch(family, tier);
+    }
+  };
+  note("transpose", last_transpose, transpose);
+  note("fft", last_fft, fft);
 }
-
-void note_fft_dispatch(common::SimdTier tier) {
-  static std::atomic<int> last{-1};
-  note_dispatch("fft", last, tier);
-}
-
-void note_transpose_dispatch(common::SimdTier tier) {
-  static std::atomic<int> last{-1};
-  note_dispatch("transpose", last, tier);
-}
-
-// The active tier joins every cache key: plans built under a forced narrow
-// dispatch must not be served to (or poison) lookups made under a wider one.
-int active_tier_key() { return static_cast<int>(common::active_tier()); }
 
 CacheMetrics& cache_metrics(Rigor rigor) {
   using namespace metrics::wellknown;
@@ -79,18 +72,51 @@ CacheMetrics& cache_metrics(Rigor rigor) {
 }  // namespace
 
 struct PlanCache::Impl {
-  // Trailing int in every key is the active SIMD tier at lookup time.
-  using Key1d = std::tuple<std::size_t, int, int, int>;
-  using Key2d = std::tuple<std::size_t, std::size_t, int, int, int>;
-
-  // (height, width, rigor, tier); real plans have a fixed direction per type.
-  using KeyReal2d = std::tuple<std::size_t, std::size_t, int, int>;
+  // (height, width, direction, rigor, tier). The real plans fix their
+  // direction per type. The active SIMD tier at lookup time joins every key:
+  // plans built under a forced narrow dispatch must not be served to (or
+  // poison) lookups made under a wider one.
+  using Key = std::tuple<std::size_t, std::size_t, int, int, int>;
+  template <typename Plan>
+  using Map = std::map<Key, std::shared_ptr<const Plan>>;
 
   mutable std::mutex mutex;
-  std::map<Key1d, std::shared_ptr<const Plan1d>> plans_1d;
-  std::map<Key2d, std::shared_ptr<const Plan2d>> plans_2d;
-  std::map<KeyReal2d, std::shared_ptr<const PlanR2c2d>> plans_r2c_2d;
-  std::map<KeyReal2d, std::shared_ptr<const PlanC2r2d>> plans_c2r_2d;
+  Map<Plan2d> plans_2d;
+  Map<PlanR2c2d> plans_r2c_2d;
+  Map<PlanC2r2d> plans_c2r_2d;
+
+  static Key key(std::size_t height, std::size_t width, Direction dir,
+                 Rigor rigor) {
+    return {height, width, static_cast<int>(dir), static_cast<int>(rigor),
+            static_cast<int>(common::active_tier())};
+  }
+
+  // Returns map[key], building it with build() on a miss. Plans build
+  // outside the lock: planning can take milliseconds-to-seconds at high
+  // rigor and must not serialize unrelated lookups. A racing thread may plan
+  // the same key; the first insert wins and the duplicate is discarded.
+  template <typename Plan, typename Build>
+  std::shared_ptr<const Plan> find_or_build(Map<Plan>& map, const Key& k,
+                                            Rigor rigor, Build build) {
+    CacheMetrics& m = cache_metrics(rigor);
+    {
+      std::lock_guard<std::mutex> lock(mutex);
+      if (auto it = map.find(k); it != map.end()) {
+        m.hits.add();
+        tier_hits(it->second->simd_tier()).add();
+        return it->second;
+      }
+    }
+    m.misses.add();
+    std::shared_ptr<const Plan> plan;
+    {
+      HS_METRIC_TIMER(m.build_us);
+      plan = build();
+    }
+    note_dispatch(plan->simd_tier(), plan->fft_tier());
+    std::lock_guard<std::mutex> lock(mutex);
+    return map.emplace(k, std::move(plan)).first->second;
+  }
 };
 
 PlanCache::PlanCache() : impl_(std::make_unique<Impl>()) {}
@@ -101,120 +127,37 @@ PlanCache& PlanCache::instance() {
   return cache;
 }
 
-std::shared_ptr<const Plan1d> PlanCache::plan_1d(std::size_t n, Direction dir,
-                                                 Rigor rigor) {
-  const Impl::Key1d key{n, static_cast<int>(dir), static_cast<int>(rigor),
-                        active_tier_key()};
-  {
-    std::lock_guard<std::mutex> lock(impl_->mutex);
-    if (auto it = impl_->plans_1d.find(key); it != impl_->plans_1d.end()) {
-      cache_metrics(rigor).hits.add();
-      tier_hits(it->second->simd_tier()).add();
-      return it->second;
-    }
-  }
-  // Plan outside the lock: planning can take milliseconds-to-seconds at high
-  // rigor and must not serialize unrelated lookups. A racing thread may plan
-  // the same key; the first insert wins and the duplicate is discarded.
-  CacheMetrics& m = cache_metrics(rigor);
-  m.misses.add();
-  std::shared_ptr<const Plan1d> plan;
-  {
-    HS_METRIC_TIMER(m.build_us);
-    plan = std::make_shared<const Plan1d>(n, dir, rigor);
-  }
-  note_fft_dispatch(plan->simd_tier());
-  std::lock_guard<std::mutex> lock(impl_->mutex);
-  auto [it, inserted] = impl_->plans_1d.emplace(key, std::move(plan));
-  return it->second;
-}
-
 std::shared_ptr<const Plan2d> PlanCache::plan_2d(std::size_t height,
                                                  std::size_t width,
                                                  Direction dir, Rigor rigor) {
-  const Impl::Key2d key{height, width, static_cast<int>(dir),
-                        static_cast<int>(rigor), active_tier_key()};
-  {
-    std::lock_guard<std::mutex> lock(impl_->mutex);
-    if (auto it = impl_->plans_2d.find(key); it != impl_->plans_2d.end()) {
-      cache_metrics(rigor).hits.add();
-      tier_hits(it->second->simd_tier()).add();
-      return it->second;
-    }
-  }
-  CacheMetrics& m = cache_metrics(rigor);
-  m.misses.add();
-  std::shared_ptr<const Plan2d> plan;
-  {
-    HS_METRIC_TIMER(m.build_us);
-    plan = std::make_shared<const Plan2d>(height, width, dir, rigor);
-  }
-  note_transpose_dispatch(plan->simd_tier());
-  note_fft_dispatch(plan->fft_tier());
-  std::lock_guard<std::mutex> lock(impl_->mutex);
-  auto [it, inserted] = impl_->plans_2d.emplace(key, std::move(plan));
-  return it->second;
+  return impl_->find_or_build(
+      impl_->plans_2d, Impl::key(height, width, dir, rigor), rigor, [&] {
+        return std::make_shared<const Plan2d>(height, width, dir, rigor);
+      });
 }
 
 std::shared_ptr<const PlanR2c2d> PlanCache::plan_r2c_2d(std::size_t height,
                                                         std::size_t width,
                                                         Rigor rigor) {
-  const Impl::KeyReal2d key{height, width, static_cast<int>(rigor),
-                            active_tier_key()};
-  {
-    std::lock_guard<std::mutex> lock(impl_->mutex);
-    if (auto it = impl_->plans_r2c_2d.find(key);
-        it != impl_->plans_r2c_2d.end()) {
-      cache_metrics(rigor).hits.add();
-      tier_hits(it->second->simd_tier()).add();
-      return it->second;
-    }
-  }
-  CacheMetrics& m = cache_metrics(rigor);
-  m.misses.add();
-  std::shared_ptr<const PlanR2c2d> plan;
-  {
-    HS_METRIC_TIMER(m.build_us);
-    plan = std::make_shared<const PlanR2c2d>(height, width, rigor);
-  }
-  note_transpose_dispatch(plan->simd_tier());
-  note_fft_dispatch(plan->fft_tier());
-  std::lock_guard<std::mutex> lock(impl_->mutex);
-  auto [it, inserted] = impl_->plans_r2c_2d.emplace(key, std::move(plan));
-  return it->second;
+  return impl_->find_or_build(
+      impl_->plans_r2c_2d,
+      Impl::key(height, width, Direction::kForward, rigor), rigor, [&] {
+        return std::make_shared<const PlanR2c2d>(height, width, rigor);
+      });
 }
 
 std::shared_ptr<const PlanC2r2d> PlanCache::plan_c2r_2d(std::size_t height,
                                                         std::size_t width,
                                                         Rigor rigor) {
-  const Impl::KeyReal2d key{height, width, static_cast<int>(rigor),
-                            active_tier_key()};
-  {
-    std::lock_guard<std::mutex> lock(impl_->mutex);
-    if (auto it = impl_->plans_c2r_2d.find(key);
-        it != impl_->plans_c2r_2d.end()) {
-      cache_metrics(rigor).hits.add();
-      tier_hits(it->second->simd_tier()).add();
-      return it->second;
-    }
-  }
-  CacheMetrics& m = cache_metrics(rigor);
-  m.misses.add();
-  std::shared_ptr<const PlanC2r2d> plan;
-  {
-    HS_METRIC_TIMER(m.build_us);
-    plan = std::make_shared<const PlanC2r2d>(height, width, rigor);
-  }
-  note_transpose_dispatch(plan->simd_tier());
-  note_fft_dispatch(plan->fft_tier());
-  std::lock_guard<std::mutex> lock(impl_->mutex);
-  auto [it, inserted] = impl_->plans_c2r_2d.emplace(key, std::move(plan));
-  return it->second;
+  return impl_->find_or_build(
+      impl_->plans_c2r_2d,
+      Impl::key(height, width, Direction::kInverse, rigor), rigor, [&] {
+        return std::make_shared<const PlanC2r2d>(height, width, rigor);
+      });
 }
 
 void PlanCache::clear() {
   std::lock_guard<std::mutex> lock(impl_->mutex);
-  impl_->plans_1d.clear();
   impl_->plans_2d.clear();
   impl_->plans_r2c_2d.clear();
   impl_->plans_c2r_2d.clear();
@@ -222,8 +165,8 @@ void PlanCache::clear() {
 
 std::size_t PlanCache::size() const {
   std::lock_guard<std::mutex> lock(impl_->mutex);
-  return impl_->plans_1d.size() + impl_->plans_2d.size() +
-         impl_->plans_r2c_2d.size() + impl_->plans_c2r_2d.size();
+  return impl_->plans_2d.size() + impl_->plans_r2c_2d.size() +
+         impl_->plans_c2r_2d.size();
 }
 
 }  // namespace hs::fft

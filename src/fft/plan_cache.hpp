@@ -4,6 +4,8 @@
 // a single execution — the paper reports 4 min 20 s of FFTW patient planning,
 // amortized by reuse. All stitching implementations share plans through this
 // cache so each (size, direction, rigor) is planned exactly once per process.
+// It holds the three 2-D plan kinds make_fft_pipeline requests; a plan builds
+// its row and column 1-D plans itself.
 #pragma once
 
 #include <memory>
@@ -20,8 +22,6 @@ class PlanCache {
 
   /// Returns a shared plan, creating (and caching) it on first use.
   /// The returned pointer remains valid for the cache's lifetime.
-  std::shared_ptr<const Plan1d> plan_1d(std::size_t n, Direction dir,
-                                        Rigor rigor = Rigor::kEstimate);
   std::shared_ptr<const Plan2d> plan_2d(std::size_t height, std::size_t width,
                                         Direction dir,
                                         Rigor rigor = Rigor::kEstimate);

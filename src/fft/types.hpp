@@ -24,21 +24,11 @@ enum class Direction { kForward, kInverse };
 /// over estimate for its 1392x1040 tiles.
 enum class Rigor { kEstimate, kMeasure, kPatient };
 
-/// Global transform counters (relaxed atomics), used by the Table I
-/// operation-count harness and by tests that assert plan reuse.
-struct Stats {
-  std::uint64_t transforms_1d = 0;
-  std::uint64_t transforms_2d = 0;
-  std::uint64_t bluestein_transforms = 0;
-};
-
-Stats stats();
-void reset_stats();
-
-namespace detail {
-void count_1d();
-void count_2d();
-void count_bluestein();
-}  // namespace detail
+/// Revision of the transforms' output bits. Bump it whenever any
+/// transform's output bits change. Spill frames and pair-log records carry
+/// it, and a spill store drops what another revision wrote, so a spill dir
+/// never feeds old bits into new jobs. The golden CRCs that pin today's bits
+/// (TransformGoldenBits in tests/stitch_algo_test.cpp) move with it.
+inline constexpr std::uint16_t kTransformRevision = 1;
 
 }  // namespace hs::fft

@@ -96,7 +96,7 @@ Translation pciam_from_spectra(const fft::Complex* spec_reference,
   scratch.ensure(bins);
 
   // Steps 4-5: normalized correlation coefficients.
-  vgpu::k_ncc_half(spec_reference, spec_moved, scratch.a.data(), bins);
+  vgpu::k_ncc(spec_reference, spec_moved, scratch.a.data(), bins);
   // Step 6: inverse transform of the NCC, in place.
   pipeline.inverse_inplace(scratch.a.data());
   // Step 7: max reduction (top-k when the multi-peak extension is on).

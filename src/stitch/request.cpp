@@ -76,28 +76,6 @@ void StitchRequest::validate() const {
          "must be >= 1 for backend " + backend_name(backend));
   }
 
-  // --- pool sizing against the traversal's working set (the paper's "pool
-  // must exceed the smallest dimension of the image grid" rule,
-  // generalized per traversal).
-  const std::size_t ws = traversal_working_set(layout, o.traversal);
-  if (backend == Backend::kPipelinedCpu && o.pool_buffers > 0 &&
-      o.pool_buffers <= ws) {
-    fail("pool_buffers",
-         "pool of " + num(o.pool_buffers) + " cannot cover traversal " +
-             traversal_name(o.traversal) + "'s working set of " + num(ws) +
-             " on a " + num(layout.rows) + "x" + num(layout.cols) +
-             " grid; need > " + num(ws));
-  }
-  if (backend == Backend::kSimpleGpu) {
-    const std::size_t pool = pool_slots(o, layout);
-    if (pool < ws + 2) {
-      fail("pool_buffers",
-           "pool of " + num(pool) + " cannot cover traversal " +
-               traversal_name(o.traversal) + "'s working set of " + num(ws) +
-               " plus an NCC working buffer; need >= " + num(ws + 2));
-    }
-  }
-
   // --- GPU pipeline invariants.
   if (backend == Backend::kPipelinedGpu) {
     if (o.gpu_count < 1) fail("gpu_count", "must be >= 1");
@@ -114,22 +92,12 @@ void StitchRequest::validate() const {
            "requires gpu_count > 1 (got " + num(o.gpu_count) +
                "): peer-to-peer halo sharing needs a neighbouring device");
     }
-    if (o.pool_buffers > 0) {
-      for (const RowBand& rows : gpu_row_bands(
-               layout, ResourceSet::for_backend(backend, o))) {
-        const img::GridLayout band = rows.layout(layout.cols);
-        const std::size_t band_ws = traversal_working_set(band, o.traversal);
-        if (o.pool_buffers <= band_ws) {
-          fail("pool_buffers",
-               "pool of " + num(o.pool_buffers) +
-                   " cannot cover traversal " + traversal_name(o.traversal) +
-                   "'s per-band working set of " + num(band_ws) + " (band " +
-                   num(band.rows) + "x" + num(band.cols) + "); need > " +
-                   num(band_ws));
-        }
-      }
-    }
   }
+
+  // --- pool sizing against the traversal's working set (the paper's "pool
+  // must exceed the smallest dimension of the image grid" rule,
+  // generalized per traversal).
+  validate_pool_slots(ResourceSet::for_backend(backend, o), o, layout);
 
   // --- fault-tolerance fields.
   if (deadline_ms < 0) {

@@ -590,7 +590,7 @@ StitchResult run_gpu_sync(const ResourceSet& rs, const TileProvider& provider,
     fft::Complex* fc = ncc.as<fft::Complex>();
     // Each step synchronous on the default stream — no overlap anywhere.
     stream.enqueue("ncc", [fa, fb, fc, bins] {
-      vgpu::k_ncc_half(fa, fb, fc, bins);
+      vgpu::k_ncc(fa, fb, fc, bins);
     });
     stream.synchronize();
     counts.bump(counts.ncc_multiplies);
@@ -1340,7 +1340,7 @@ StitchResult run_gpu_async(const ResourceSet& rs, const TileProvider& provider,
             if (pairs.size() == 1) {
               disp.enqueue("ncc", [ref = pairs.front().spec_reference,
                                    mov = pairs.front().spec_moved, fc, bins] {
-                vgpu::k_ncc_half(ref, mov, fc, bins);
+                vgpu::k_ncc(ref, mov, fc, bins);
               });
               disp.enqueue(fftp.inverse_label(),
                            [gpu, fc] { gpu->ffts->inverse(fc); });
@@ -1361,8 +1361,8 @@ StitchResult run_gpu_async(const ResourceSet& rs, const TileProvider& provider,
                   [gpu, &layout, &q_ccf, &fftp, fc, bins, peaks_k,
                    ncc = std::move(ncc), pairs = std::move(pairs)]() mutable {
                     for (ClaimedPair& pair : pairs) {
-                      vgpu::k_ncc_half(pair.spec_reference, pair.spec_moved,
-                                       fc, bins);
+                      vgpu::k_ncc(pair.spec_reference, pair.spec_moved, fc,
+                                  bins);
                       gpu->ffts->inverse(fc);
                       complete_pair(gpu, layout, q_ccf, pair,
                                     fftp.peaks(fc, peaks_k));
@@ -1555,6 +1555,42 @@ std::size_t pool_slots(const StitchOptions& options,
              : traversal_working_set(grid, options.traversal) + 4;
 }
 
+void validate_pool_slots(const ResourceSet& rs, const StitchOptions& o,
+                         const img::GridLayout& layout) {
+  const auto fail = [](const std::string& what) {
+    throw InvalidArgument("pool_buffers: " + what);
+  };
+  const auto num = [](std::size_t v) { return std::to_string(v); };
+  const std::size_t ws = traversal_working_set(layout, o.traversal);
+  if (rs.prefetch_threads > 0 && o.pool_buffers > 0 && o.pool_buffers <= ws) {
+    fail("pool of " + num(o.pool_buffers) + " cannot cover traversal " +
+         traversal_name(o.traversal) + "'s working set of " + num(ws) +
+         " on a " + num(layout.rows) + "x" + num(layout.cols) +
+         " grid; need > " + num(ws));
+  }
+  if (rs.gpu_devices == 0) return;
+  if (rs.synchronous_gpu) {
+    const std::size_t pool = pool_slots(o, layout);
+    if (pool < ws + 2) {
+      fail("pool of " + num(pool) + " cannot cover traversal " +
+           traversal_name(o.traversal) + "'s working set of " + num(ws) +
+           " plus an NCC working buffer; need >= " + num(ws + 2));
+    }
+    return;
+  }
+  if (o.pool_buffers == 0) return;
+  for (const RowBand& rows : gpu_row_bands(layout, rs)) {
+    const img::GridLayout band = rows.layout(layout.cols);
+    const std::size_t band_ws = traversal_working_set(band, o.traversal);
+    if (o.pool_buffers <= band_ws) {
+      fail("pool of " + num(o.pool_buffers) + " cannot cover traversal " +
+           traversal_name(o.traversal) + "'s per-band working set of " +
+           num(band_ws) + " (band " + num(band.rows) + "x" + num(band.cols) +
+           "); need > " + num(band_ws));
+    }
+  }
+}
+
 HybridScheduler::HybridScheduler(ResourceSet resources)
     : resources_(std::move(resources)) {}
 
@@ -1594,6 +1630,7 @@ StitchResult HybridScheduler::run(const TileProvider& provider,
     throw InvalidArgument(
         "ResourceSet: hybrid CPU+GPU bands are incompatible with use_p2p");
   }
+  validate_pool_slots(rs, options, provider.layout());
   if (rs.gpu_devices == 0) return run_cpu(rs, provider, options);
   if (rs.synchronous_gpu) return run_gpu_sync(rs, provider, options);
   return run_gpu_async(rs, provider, options);

@@ -121,6 +121,18 @@ std::vector<RowBand> gpu_row_bands(const img::GridLayout& layout,
 std::size_t pool_slots(const StitchOptions& options,
                        const img::GridLayout& grid);
 
+/// Rejects a pool_buffers that cannot cover the working set of a shape in
+/// `resources` that draws from a buffer pool: its copy, upload or prefetch
+/// stage would wait on a dry pool forever. A prefetch shape needs more
+/// slots than the traversal's working set on `layout`; the synchronous GPU
+/// needs the working set plus an NCC working buffer; every asynchronous
+/// GPU band from gpu_row_bands needs more than its own working set. Throws
+/// InvalidArgument naming pool_buffers. Request validation and
+/// HybridScheduler::run both call it.
+void validate_pool_slots(const ResourceSet& resources,
+                         const StitchOptions& options,
+                         const img::GridLayout& layout);
+
 /// One dispatch loop over pair tasks for any ResourceSet. Preserves every
 /// backend contract: per-pair cancellation polling, warm-start filtering,
 /// ledger recording, fault hooks, and bit-identical tables in both FFT

@@ -9,6 +9,7 @@
 #include "common/crc32c.hpp"
 #include "common/error.hpp"
 #include "common/file.hpp"
+#include "fft/types.hpp"
 #include "metrics/wellknown.hpp"
 
 namespace hs::stitch {
@@ -22,14 +23,22 @@ namespace {
 constexpr std::uint32_t kSpectrumMagic = 0x46535348u;
 constexpr std::uint32_t kPairMagic = 0x52505348u;
 constexpr std::size_t kFrameHeader = 12;
-// digest u64 + height u32 + width u32 + real u8 + tier u8 + pad u16 +
-// bin_count u64, ahead of the raw bins.
+// digest u64 + height u32 + width u32 + real u8 + tier u8 + revision u16 +
+// bin_count u64, ahead of the raw bins. Pair records carry the same
+// revision u16 after their tier byte. The revision is
+// fft::kTransformRevision of the build that computed the bits; frames
+// written before it existed read 0 there.
 constexpr std::size_t kSpectrumHeaderBytes = 28;
 constexpr std::size_t kPairPayloadBytes = 64;
 // A garbage length field must not make recovery allocate gigabytes; 256 MiB
 // covers a 4Kx4K complex spectrum with room to spare.
 constexpr std::uint32_t kMaxPayload = 256u << 20;
 constexpr std::size_t kSimdTierCount = 3;  // common::SimdTier vocabulary
+
+void put_u16(std::string& out, std::uint16_t v) {
+  out.push_back(static_cast<char>(v & 0xFF));
+  out.push_back(static_cast<char>(v >> 8));
+}
 
 void put_u32(std::string& out, std::uint32_t v) {
   char bytes[4];
@@ -43,6 +52,11 @@ void put_u32(std::string& out, std::uint32_t v) {
 void put_u64(std::string& out, std::uint64_t v) {
   put_u32(out, static_cast<std::uint32_t>(v & 0xFFFFFFFFu));
   put_u32(out, static_cast<std::uint32_t>(v >> 32));
+}
+
+std::uint16_t get_u16(const char* p) {
+  const auto* b = reinterpret_cast<const unsigned char*>(p);
+  return static_cast<std::uint16_t>(b[0] | (b[1] << 8));
 }
 
 std::uint32_t get_u32(const char* p) {
@@ -77,7 +91,7 @@ std::string spectrum_payload(const SpectrumKey& key,
   put_u32(payload, key.width);
   payload.push_back(key.real_fft ? 1 : 0);
   payload.push_back(static_cast<char>(key.tier));
-  payload.append(2, '\0');
+  put_u16(payload, fft::kTransformRevision);
   put_u64(payload, bins.size());
   // Raw IEEE bytes round-trip bit-exactly, which is what keeps spill hits
   // inside the backends' bit-identity guarantees.
@@ -87,9 +101,10 @@ std::string spectrum_payload(const SpectrumKey& key,
 }
 
 /// Full-frame validation: magic, length, CRC32C, and a self-consistent
-/// header. Fills *key and *bin_count on success.
+/// header. Fills *key, *bin_count and *revision on success.
 bool validate_spectrum_file(const std::string& contents, SpectrumKey* key,
-                            std::uint64_t* bin_count) {
+                            std::uint64_t* bin_count,
+                            std::uint16_t* revision) {
   if (contents.size() < kFrameHeader + kSpectrumHeaderBytes) return false;
   if (get_u32(contents.data()) != kSpectrumMagic) return false;
   const std::uint32_t len = get_u32(contents.data() + 4);
@@ -106,6 +121,7 @@ bool validate_spectrum_file(const std::string& contents, SpectrumKey* key,
   const auto tier = static_cast<unsigned char>(p[17]);
   if (tier >= kSimdTierCount) return false;
   key->tier = static_cast<common::SimdTier>(tier);
+  *revision = get_u16(p + 18);
   *bin_count = get_u64(p + 20);
   const std::size_t bin_bytes = len - kSpectrumHeaderBytes;
   return bin_bytes % sizeof(fft::Complex) == 0 &&
@@ -171,7 +187,8 @@ void SpectrumStore::recover() {
   // Startup GC + warm-start index: orphaned .tmp files (a crash between
   // write and rename) are deleted, every .spec frame is fully validated
   // (corrupt ones deleted and counted — they must recompute, never load),
-  // and the pair log replays up to its first damaged record.
+  // frames another transform revision wrote are deleted as stale, and the
+  // pair log replays up to its first damaged record.
   std::vector<std::string> tmp_files;
   std::vector<std::string> spectrum_files;
   for (const fs::directory_entry& entry : fs::directory_iterator(config_.dir)) {
@@ -190,9 +207,11 @@ void SpectrumStore::recover() {
     std::string contents;
     SpectrumKey key;
     std::uint64_t bin_count = 0;
+    std::uint16_t revision = 0;
     if (read_file(path, &contents) &&
-        validate_spectrum_file(contents, &key, &bin_count)) {
-      if (index_.emplace(key, FrameInfo{path, bin_count}).second) {
+        validate_spectrum_file(contents, &key, &bin_count, &revision)) {
+      if (revision == fft::kTransformRevision &&
+          index_.emplace(key, FrameInfo{path, bin_count}).second) {
         metric_frames_.add(1);
         continue;
       }
@@ -200,7 +219,8 @@ void SpectrumStore::recover() {
       ++stats_.corrupt_frames;
       metric_corrupt_.add();
     }
-    // Corrupt, unreadable, or a duplicate of an already-indexed key.
+    // Corrupt, unreadable, stale (another transform revision's bits), or a
+    // duplicate of an already-indexed key.
     if (std::remove(path.c_str()) == 0) ++stats_.gc_removed;
   }
   stats_.spectrum_frames = index_.size();
@@ -218,6 +238,12 @@ void SpectrumStore::replay_pair_log() {
     if (get_u32(p + 4) != kPairPayloadBytes) break;
     if (crc32c(p + kFrameHeader, kPairPayloadBytes) != get_u32(p + 8)) break;
     const char* q = p + kFrameHeader;
+    if (get_u16(q + 26) != fft::kTransformRevision) {
+      // Intact, but another transform revision computed it: skip the
+      // record and keep replaying; the log is not cut here.
+      offset += kFrameHeader + kPairPayloadBytes;
+      continue;
+    }
     PairKey key;
     key.digest_reference = get_u64(q);
     key.digest_moved = get_u64(q + 8);
@@ -310,9 +336,11 @@ SpectrumStore::SpectrumPtr SpectrumStore::load(const SpectrumKey& key) {
   std::string contents;
   SpectrumKey parsed;
   std::uint64_t bin_count = 0;
-  const bool ok = read_file(it->second.path, &contents) &&
-                  validate_spectrum_file(contents, &parsed, &bin_count) &&
-                  parsed == key;
+  std::uint16_t revision = 0;
+  const bool ok =
+      read_file(it->second.path, &contents) &&
+      validate_spectrum_file(contents, &parsed, &bin_count, &revision) &&
+      parsed == key && revision == fft::kTransformRevision;
   if (!ok) {
     // Damaged or unreadable frame: delete it and demote to a miss — the
     // spectrum recomputes from the tile, a wrong table is impossible.
@@ -368,7 +396,7 @@ bool SpectrumStore::append_pair_locked(const PairKey& key,
   put_u32(payload, key.width);
   payload.push_back(key.real_fft ? 1 : 0);
   payload.push_back(static_cast<char>(key.tier));
-  payload.append(2, '\0');
+  put_u16(payload, fft::kTransformRevision);
   put_u32(payload, key.peak_candidates);
   put_u64(payload, static_cast<std::uint64_t>(key.min_overlap_px));
   put_u64(payload, static_cast<std::uint64_t>(value.x));

@@ -16,6 +16,12 @@
 // never become a wrong table. Fault sites fault::Site::kSpillWrite /
 // kSpillRead inject ENOSPC, short writes, and bit flips deterministically so
 // the chaos tests can prove that property.
+//
+// Every frame and pair record also carries the fft::kTransformRevision that
+// computed its bits. Recovery deletes frames of another revision as stale
+// (gc_removed, not corrupt) and skips such pair records, so a spill dir
+// written by a build with other transform bits starts cold instead of
+// feeding old bits into new jobs.
 #pragma once
 
 #include <cstdint>
@@ -44,8 +50,10 @@ class SpectrumStore {
   using SpectrumPtr = std::shared_ptr<const std::vector<fft::Complex>>;
 
   /// Creates the directory, garbage-collects orphaned `.tmp` files, validates
-  /// every spectrum frame (deleting corrupt ones), and replays the pair log
-  /// (truncating a torn tail) — the warm-start index survives restarts.
+  /// every spectrum frame (deleting corrupt ones and those of another
+  /// transform revision), and replays the pair log (skipping records of
+  /// another revision, truncating a torn tail) — the warm-start index
+  /// survives restarts.
   explicit SpectrumStore(Config config);
   ~SpectrumStore();
 
@@ -78,7 +86,7 @@ class SpectrumStore {
     std::uint64_t bytes_read = 0;      ///< demand-load bytes
     std::uint64_t corrupt_frames = 0;  ///< CRC/framing failures (load+recover)
     std::uint64_t write_failures = 0;  ///< dropped writes (ENOSPC, short)
-    std::uint64_t gc_removed = 0;      ///< orphaned/corrupt files deleted
+    std::uint64_t gc_removed = 0;      ///< orphaned/corrupt/stale files deleted
     std::size_t spectrum_frames = 0;   ///< valid frames currently indexed
     std::size_t pairs = 0;             ///< pair displacements resident
   };

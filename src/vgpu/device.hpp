@@ -9,9 +9,9 @@
 //     different streams execute concurrently (one worker thread per stream),
 //   * events provide cross-stream and host synchronization,
 //   * cuFFT's Fermi-era restriction — FFT kernels cannot execute
-//     concurrently — is modeled by a device-wide FFT mutex that vfft plans
-//     take while executing (the paper's pipeline handles this by launching
-//     one FFT at a time).
+//     concurrently — is modeled by a device-wide FFT mutex that every device
+//     FFT takes while executing, through run_fft_kernel (vfft.hpp; the
+//     paper's pipeline handles this by launching one FFT at a time).
 // "Device memory" is host memory, so kernels are plain functions run by
 // stream workers; what is preserved is ordering, capacity, and concurrency
 // structure, which is what the paper's contribution is about.
@@ -48,8 +48,9 @@ struct DeviceConfig {
   std::string trace_prefix = "gpu0";
   /// Fermi-era cuFFT cannot run FFT kernels concurrently (register
   /// pressure, paper SIV-B); Kepler GK110's Hyper-Q lifts that (paper
-  /// SVI-A). false = Fermi behaviour (vfft serializes on the device FFT
-  /// mutex), true = Kepler behaviour (FFTs on different streams overlap).
+  /// SVI-A). false = Fermi behaviour (run_fft_kernel serializes on the
+  /// device FFT mutex), true = Kepler behaviour (FFTs on different streams
+  /// overlap).
   bool concurrent_fft_kernels = false;
   /// Optional fault-injection plan (tests/benches only). Null in
   /// production: the hooks then cost one pointer compare each.

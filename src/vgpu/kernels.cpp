@@ -40,6 +40,36 @@ common::SimdTier u16_tier() {
   return family_tier("u16_convert", last);
 }
 
+// The top-k insertion scan shared by complex and real surfaces; `square`
+// maps an element to its squared magnitude. Single pass maintaining a small
+// sorted list of the k best (k is 1..8 in practice, so insertion into the
+// array beats a heap); strict comparisons keep the lowest index on ties.
+template <typename T, typename Square>
+std::vector<MaxAbsResult> topk_scan(const T* data, std::size_t count,
+                                    std::size_t k, Square square) {
+  std::vector<double> best_sq(k, -1.0);
+  std::vector<std::size_t> best_idx(k, 0);
+  for (std::size_t i = 0; i < count; ++i) {
+    const double sq = square(data[i]);
+    if (sq <= best_sq[k - 1]) continue;
+    std::size_t slot = k - 1;
+    while (slot > 0 && sq > best_sq[slot - 1]) {
+      best_sq[slot] = best_sq[slot - 1];
+      best_idx[slot] = best_idx[slot - 1];
+      --slot;
+    }
+    best_sq[slot] = sq;
+    best_idx[slot] = i;
+  }
+  std::vector<MaxAbsResult> out;
+  out.reserve(k);
+  for (std::size_t s = 0; s < k; ++s) {
+    if (best_sq[s] < 0.0) break;  // count < k
+    out.push_back(MaxAbsResult{std::sqrt(best_sq[s]), best_idx[s]});
+  }
+  return out;
+}
+
 }  // namespace
 
 void k_u16_to_complex_scalar(const std::uint16_t* src, fft::Complex* dst,
@@ -123,12 +153,6 @@ void k_ncc(const fft::Complex* fi, const fft::Complex* fj, fft::Complex* out,
   k_ncc_scalar(fi, fj, out, count);
 }
 
-void k_ncc_half(const fft::Complex* fi, const fft::Complex* fj,
-                fft::Complex* out, std::size_t count) {
-  // Identical arithmetic over fewer bins; the mirrored half is implied.
-  k_ncc(fi, fj, out, count);
-}
-
 MaxAbsResult k_max_abs_scalar(const fft::Complex* data, std::size_t count) {
   MaxAbsResult best;
   // Compare on |z|^2 (monotone in |z|) to avoid count sqrt calls; convert
@@ -190,30 +214,9 @@ std::vector<MaxAbsResult> k_max_abs_topk(const fft::Complex* data,
   // k == 1 is the common single-peak path: the vectorized reduction's
   // semantics (first strict max) match the insertion loop's exactly.
   if (k == 1) return {k_max_abs(data, count)};
-  // Single pass maintaining a small sorted list of the k best (k is 1..8 in
-  // practice, so insertion into the array beats a heap).
-  std::vector<double> best_sq(k, -1.0);
-  std::vector<std::size_t> best_idx(k, 0);
-  for (std::size_t i = 0; i < count; ++i) {
-    const double sq = data[i].real() * data[i].real() +
-                      data[i].imag() * data[i].imag();
-    if (sq <= best_sq[k - 1]) continue;
-    std::size_t slot = k - 1;
-    while (slot > 0 && sq > best_sq[slot - 1]) {
-      best_sq[slot] = best_sq[slot - 1];
-      best_idx[slot] = best_idx[slot - 1];
-      --slot;
-    }
-    best_sq[slot] = sq;
-    best_idx[slot] = i;
-  }
-  std::vector<MaxAbsResult> out;
-  out.reserve(k);
-  for (std::size_t s = 0; s < k; ++s) {
-    if (best_sq[s] < 0.0) break;  // count < k
-    out.push_back(MaxAbsResult{std::sqrt(best_sq[s]), best_idx[s]});
-  }
-  return out;
+  return topk_scan(data, count, k, [](const fft::Complex& z) {
+    return z.real() * z.real() + z.imag() * z.imag();
+  });
 }
 
 std::vector<MaxAbsResult> k_max_abs_topk_real(const double* data,
@@ -221,27 +224,7 @@ std::vector<MaxAbsResult> k_max_abs_topk_real(const double* data,
                                               std::size_t k) {
   k = std::min(k, count);
   if (k == 1) return {k_max_abs_real(data, count)};
-  std::vector<double> best_sq(k, -1.0);
-  std::vector<std::size_t> best_idx(k, 0);
-  for (std::size_t i = 0; i < count; ++i) {
-    const double sq = data[i] * data[i];
-    if (sq <= best_sq[k - 1]) continue;
-    std::size_t slot = k - 1;
-    while (slot > 0 && sq > best_sq[slot - 1]) {
-      best_sq[slot] = best_sq[slot - 1];
-      best_idx[slot] = best_idx[slot - 1];
-      --slot;
-    }
-    best_sq[slot] = sq;
-    best_idx[slot] = i;
-  }
-  std::vector<MaxAbsResult> out;
-  out.reserve(k);
-  for (std::size_t s = 0; s < k; ++s) {
-    if (best_sq[s] < 0.0) break;
-    out.push_back(MaxAbsResult{std::sqrt(best_sq[s]), best_idx[s]});
-  }
-  return out;
+  return topk_scan(data, count, k, [](double x) { return x * x; });
 }
 
 }  // namespace hs::vgpu

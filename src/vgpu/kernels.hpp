@@ -50,20 +50,16 @@ void k_u16_to_real_padded(const std::uint16_t* src, fft::Complex* dst,
 /// Element-wise normalized conjugate multiplication (paper Fig 2, steps
 /// 4-5): out = (fi * conj(fj)) / |fi * conj(fj)|, with zero-magnitude
 /// elements mapped to 0 to keep the surface finite. Tier-dispatched
-/// (scalar/SSE2/AVX2), bit-identical across tiers.
+/// (scalar/SSE2/AVX2), bit-identical across tiers. Over Hermitian half
+/// spectra (h x (w/2+1) bins) it is exact: the product of two real-signal
+/// spectra is itself Hermitian, so the mirrored bins are implied by
+/// conjugate symmetry, and the normalization |.| is symmetric.
 void k_ncc(const fft::Complex* fi, const fft::Complex* fj, fft::Complex* out,
            std::size_t count);
 
 /// Portable scalar reference for k_ncc (testing/benchmark baseline).
 void k_ncc_scalar(const fft::Complex* fi, const fft::Complex* fj,
                   fft::Complex* out, std::size_t count);
-
-/// NCC over Hermitian half spectra (h x (w/2+1) bins). The product of two
-/// real-signal spectra is itself Hermitian, so operating on the retained
-/// bins is exact — the mirrored bins are implied by conjugate symmetry and
-/// the normalization |.| is symmetric. Same per-element math as k_ncc.
-void k_ncc_half(const fft::Complex* fi, const fft::Complex* fj,
-                fft::Complex* out, std::size_t count);
 
 struct MaxAbsResult {
   double value = 0.0;

@@ -97,21 +97,6 @@ TEST_P(Fft1dSizes, InPlaceMatchesOutOfPlace) {
   EXPECT_LT(max_error(out, inplace), 1e-12);
 }
 
-TEST_P(Fft1dSizes, StridedGatherScatterMatches) {
-  const std::size_t n = GetParam();
-  const std::size_t stride = 3;
-  const auto x = random_signal(n, 7 * n);
-  std::vector<Complex> strided(n * stride, Complex(99.0, 99.0));
-  for (std::size_t i = 0; i < n; ++i) strided[i * stride] = x[i];
-  Plan1d fwd(n, Direction::kForward);
-  std::vector<Complex> expected(n), out(n * stride, Complex(0.0, 0.0));
-  fwd.execute(x.data(), expected.data());
-  fwd.execute_strided(strided.data(), stride, out.data(), stride);
-  for (std::size_t i = 0; i < n; ++i) {
-    EXPECT_LT(std::abs(out[i * stride] - expected[i]), 1e-12) << "i=" << i;
-  }
-}
-
 INSTANTIATE_TEST_SUITE_P(
     SizeSweep, Fft1dSizes,
     ::testing::Values(1, 2, 3, 4, 5, 6, 7, 8, 9, 12, 13, 16, 25, 29, 32, 49,
@@ -548,28 +533,13 @@ TEST(PlanCache, DistinctKeysDistinctPlans) {
 
 TEST(PlanCache, ClearEmptiesButPlansSurvive) {
   PlanCache cache;
-  auto plan = cache.plan_1d(64, Direction::kForward);
+  auto plan = cache.plan_2d(8, 8, Direction::kForward);
   cache.clear();
   EXPECT_EQ(cache.size(), 0u);
   // shared_ptr keeps the plan alive past clear().
   std::vector<Complex> x(64, Complex(1.0, 0.0)), out(64);
   plan->execute(x.data(), out.data());
   EXPECT_NEAR(out[0].real(), 64.0, 1e-9);
-}
-
-TEST(Stats, CountersTrackExecutions) {
-  reset_stats();
-  Plan1d plan(32, Direction::kForward);
-  std::vector<Complex> x(32, Complex(1.0, 0.0)), out(32);
-  plan.execute(x.data(), out.data());
-  plan.execute(x.data(), out.data());
-  EXPECT_EQ(stats().transforms_1d, 2u);
-  Plan2d plan2(8, 8, Direction::kForward);
-  std::vector<Complex> y(64, Complex(1.0, 0.0)), out2(64);
-  plan2.execute(y.data(), out2.data());
-  EXPECT_EQ(stats().transforms_2d, 1u);
-  reset_stats();
-  EXPECT_EQ(stats().transforms_1d, 0u);
 }
 
 }  // namespace

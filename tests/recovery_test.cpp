@@ -1013,6 +1013,100 @@ TEST_F(SpillRecoveryTest, TruncatedFrameAndTornPairLogAreCutAtRestart) {
                                reference.table));
 }
 
+/// Rewrites the transform revision of the frame at byte `frame_at` of
+/// `path` (the u16 at payload offset `revision_at`) and recomputes the
+/// frame's CRC, so the frame stays intact and only its revision differs.
+void restamp_revision(const std::string& path, std::size_t frame_at,
+                      std::size_t revision_at, std::uint16_t revision) {
+  std::string bytes = read_bytes(path);
+  const std::size_t payload_at = frame_at + kFrameHeader;
+  const std::uint32_t len = le32(bytes, frame_at + 4);
+  ASSERT_LE(payload_at + len, bytes.size());
+  bytes[payload_at + revision_at] = static_cast<char>(revision & 0xFF);
+  bytes[payload_at + revision_at + 1] = static_cast<char>(revision >> 8);
+  const std::uint32_t crc =
+      crc32c(bytes.data() + payload_at, std::size_t{len});
+  for (std::size_t i = 0; i < 4; ++i) {
+    bytes[frame_at + 8 + i] = static_cast<char>((crc >> (8 * i)) & 0xFF);
+  }
+  write_bytes(path, bytes);
+}
+
+TEST_F(SpillRecoveryTest, FrameOfAnotherTransformRevisionIsRecomputed) {
+  const testing_grid grid = small_grid();
+  stitch::MemoryTileProvider provider(&grid.tiles, grid.layout);
+
+  serve::ServiceConfig config;
+  config.workers = 1;
+  config.shared_cache_bytes = 16ull << 20;
+  config.spill_dir = dir_ + "/spill";
+
+  const auto submit = [&](serve::StitchService& service) {
+    serve::StitchJob job;
+    job.name = "window";
+    job.backend = stitch::Backend::kSimpleCpu;
+    job.provider = &provider;
+    job.options = fast_options();
+    return service.submit(std::move(job)).wait();
+  };
+  stitch::StitchResult reference;
+  {
+    serve::StitchService service(config);
+    reference = submit(service);
+  }
+  const std::vector<std::string> frames = spill_frames(config.spill_dir);
+  ASSERT_FALSE(frames.empty());
+
+  // An intact frame that a build with other transform bits wrote (revision 0
+  // is what every frame from before the revision existed reads). Without
+  // the pair log every pair needs its spectra, so the recompute shows.
+  restamp_revision(frames[0], 0, 18, 0);
+  fs::remove(config.spill_dir + "/pairs.log");
+
+  serve::StitchService service(config);
+  const stitch::SpectrumStore::Stats stats = service.spill_store()->stats();
+  EXPECT_EQ(stats.corrupt_frames, 0u);  // stale, not damaged
+  EXPECT_EQ(stats.gc_removed, 1u);
+  EXPECT_EQ(stats.spectrum_frames, frames.size() - 1);
+  EXPECT_FALSE(fs::exists(frames[0]));
+  const stitch::StitchResult rerun = submit(service);
+  EXPECT_EQ(rerun.ops.forward_ffts, 1u);
+  EXPECT_TRUE(tables_identical(rerun.table, reference.table));
+}
+
+TEST_F(SpillRecoveryTest, PairRecordOfAnotherTransformRevisionIsSkipped) {
+  const std::string spill = dir_ + "/spill";
+  std::vector<stitch::PairKey> keys(3);
+  for (std::size_t i = 0; i < keys.size(); ++i) {
+    keys[i].digest_reference = 10 + i;
+    keys[i].digest_moved = 20 + i;
+    keys[i].height = 8;
+    keys[i].width = 6;
+  }
+  {
+    stitch::SpectrumStore store({spill, nullptr});
+    for (std::size_t i = 0; i < keys.size(); ++i) {
+      store.put_pair(keys[i], stitch::Translation{static_cast<std::int64_t>(i),
+                                                  -1, 0.5});
+    }
+  }
+  // The middle record: 12 header bytes + 64 payload bytes per record, and
+  // the revision follows the tier byte at payload offset 26.
+  const std::string log = spill + "/pairs.log";
+  const auto size_before = fs::file_size(log);
+  restamp_revision(log, 76, 26, 0);
+
+  stitch::SpectrumStore reopened({spill, nullptr});
+  EXPECT_EQ(reopened.stats().corrupt_frames, 0u);
+  EXPECT_EQ(reopened.stats().pairs, 2u);
+  EXPECT_EQ(fs::file_size(log), size_before);  // skipped, not truncated
+  stitch::Translation out;
+  EXPECT_TRUE(reopened.load_pair(keys[0], &out));
+  EXPECT_FALSE(reopened.load_pair(keys[1], &out));
+  ASSERT_TRUE(reopened.load_pair(keys[2], &out));
+  EXPECT_EQ(out.x, 2);
+}
+
 TEST_F(SpillRecoveryTest, StartupGcSweepsTmpFilesAndGarbageFrames) {
   const std::string spill = dir_ + "/spill";
   fs::create_directories(spill);

@@ -156,6 +156,39 @@ TEST(SchedulerValidation, RequestRejectsBadKnobs) {
                InvalidArgument);
 }
 
+TEST(SchedulerValidation, ResourceSetRejectsPoolBelowGpuWorkingSet) {
+  // A GPU band's copy stage (or Simple-GPU's upload) would wait on a dry
+  // pool forever; stitch(ResourceSet) must reject the pool up front, with
+  // the message stitch(Backend) gives.
+  sim::AcquisitionParams acq;
+  acq.grid_rows = 3;
+  acq.grid_cols = 3;
+  acq.tile_height = 32;
+  acq.tile_width = 48;
+  const auto grid = sim::make_synthetic_grid(acq);
+  MemoryTileProvider provider(&grid.tiles, grid.layout);
+  StitchOptions options = fast_options();
+  options.pool_buffers = 1;
+
+  ResourceSet gpu;
+  gpu.cpu_workers = 0;
+  gpu.gpu_devices = 1;
+  ResourceSet sync_gpu = gpu;
+  sync_gpu.synchronous_gpu = true;
+  ResourceSet hybrid;
+  hybrid.cpu_workers = 2;
+  hybrid.gpu_devices = 1;
+  for (const ResourceSet& rs : {gpu, sync_gpu, hybrid}) {
+    try {
+      (void)stitch(rs, provider, options);
+      ADD_FAILURE() << rs.describe() << ": pool of 1 accepted";
+    } catch (const InvalidArgument& e) {
+      EXPECT_EQ(std::string(e.what()).rfind("pool_buffers:", 0), 0u)
+          << rs.describe() << ": " << e.what();
+    }
+  }
+}
+
 // --- hybrid shapes and steal-interleaving bit-identity -----------------------
 
 ResourceSet hybrid_set(std::size_t steal_threshold) {

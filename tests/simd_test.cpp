@@ -453,17 +453,17 @@ TEST(SimdPlanCache, ForcedTierJoinsTheCacheKey) {
   // caller); repeated lookups under one tier must hit.
   auto& cache = fft::PlanCache::instance();
   cache.clear();
-  std::shared_ptr<const fft::Plan1d> scalar_plan, auto_plan;
+  std::shared_ptr<const fft::Plan2d> scalar_plan, auto_plan;
   {
     ScopedKernelDispatch forced(KernelDispatch::kScalar);
-    scalar_plan = cache.plan_1d(64, Direction::kForward);
-    EXPECT_EQ(cache.plan_1d(64, Direction::kForward), scalar_plan);
-    EXPECT_EQ(scalar_plan->simd_tier(), SimdTier::kScalar);
+    scalar_plan = cache.plan_2d(8, 8, Direction::kForward);
+    EXPECT_EQ(cache.plan_2d(8, 8, Direction::kForward), scalar_plan);
+    EXPECT_EQ(scalar_plan->fft_tier(), SimdTier::kScalar);
   }
   {
     ScopedKernelDispatch forced(KernelDispatch::kAuto);
-    auto_plan = cache.plan_1d(64, Direction::kForward);
-    EXPECT_EQ(auto_plan->simd_tier(), common::active_tier());
+    auto_plan = cache.plan_2d(8, 8, Direction::kForward);
+    EXPECT_EQ(auto_plan->fft_tier(), common::active_tier());
   }
   if (common::detected_tier() != SimdTier::kScalar) {
     EXPECT_NE(scalar_plan, auto_plan);

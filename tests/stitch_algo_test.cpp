@@ -8,6 +8,7 @@
 #include <string>
 #include <tuple>
 
+#include "common/crc32c.hpp"
 #include "common/rng.hpp"
 #include "common/simd.hpp"
 #include "fft/plan_cache.hpp"
@@ -228,8 +229,7 @@ TEST_P(FftPipelineInPlace, BitIdenticalToOutOfPlacePlans) {
 
   // Inverse: inverse_inplace vs the out-of-place plan on one NCC product.
   std::vector<fft::Complex> product(bins);
-  vgpu::k_ncc_half(spectra[0].data(), spectra[1].data(), product.data(),
-                   bins);
+  vgpu::k_ncc(spectra[0].data(), spectra[1].data(), product.data(), bins);
   std::vector<fft::Complex> surface = product;
   pipeline.inverse_inplace(surface.data());
   if (real_fft) {
@@ -261,6 +261,132 @@ INSTANTIATE_TEST_SUITE_P(
              std::to_string(std::get<1>(p)) +
              (std::get<2>(p) ? "_r2c_" : "_c2c_") +
              common::dispatch_name(std::get<3>(p));
+    });
+
+// --- golden transform bits ---------------------------------------------------
+
+// The identity tests above compare one path with another, so a drift that
+// every 2-D path shares (they all run one column pass) passes them. These
+// constants pin the bits themselves: CRC32C of each 2-D entry point's output
+// and of the FftPipeline sequence. Tiers agree bit for bit, so one constant
+// serves every tier. A change that moves these bits must update them and
+// bump fft::kTransformRevision together (DESIGN §14).
+struct GoldenCrcs {
+  std::size_t height;
+  std::size_t width;
+  bool real_fft;
+  std::uint32_t forward;   // Plan2d / PlanR2c2d, out of place and in place
+  std::uint32_t inverse;   // Plan2d / PlanC2r2d of that spectrum, both forms
+  std::uint32_t pipeline;  // stage -> forward -> k_ncc -> inverse, peaks(3)
+};
+
+constexpr GoldenCrcs kGoldenCrcs[] = {
+    {1, 87, false, 0xCA44C0B9u, 0x4412CD8Eu, 0x973D795Au},
+    {1, 87, true, 0xD5D52D05u, 0xCEE9F8F8u, 0x077789A7u},
+    {29, 87, false, 0x88DDFC43u, 0x35DA3DA4u, 0x809C20A6u},
+    {29, 87, true, 0x5895086Fu, 0x3C942FC4u, 0xF1688064u},
+    {37, 53, false, 0x9373C6A1u, 0x5DBDCA05u, 0x9130EEE5u},
+    {37, 53, true, 0xB856D3DAu, 0x64EA1DC6u, 0xF8EA91D6u},
+    {30, 35, false, 0x0DC2E21Bu, 0x7AB6170Bu, 0x548621C7u},
+    {30, 35, true, 0xA3799F51u, 0x6A95AD5Du, 0xFF500693u},
+    {260, 348, false, 0xE1ECBE43u, 0x029E00B1u, 0x5D56AF9Cu},
+    {260, 348, true, 0x2250EB85u, 0x4D314800u, 0xFDC5191Eu},
+    {520, 696, false, 0x40C5E66Du, 0x35690845u, 0x287D7E46u},
+    {520, 696, true, 0xD87DD2C4u, 0x3C17DBD2u, 0x0608ABB4u},
+};
+
+template <typename T>
+std::uint32_t crc_of(const std::vector<T>& v) {
+  return crc32c(v.data(), v.size() * sizeof(T));
+}
+
+class TransformGoldenBits
+    : public ::testing::TestWithParam<
+          std::tuple<GoldenCrcs, common::KernelDispatch>> {};
+
+TEST_P(TransformGoldenBits, MatchCapturedCrc32c) {
+  const auto [golden, dispatch] = GetParam();
+  const common::ScopedKernelDispatch forced(dispatch);
+  const std::size_t h = golden.height;
+  const std::size_t w = golden.width;
+  const std::size_t count = h * w;
+  Rng rng(1000 * h + w);
+
+  if (golden.real_fft) {
+    const fft::PlanR2c2d r2c(h, w);
+    const fft::PlanC2r2d c2r(h, w);
+    const std::size_t sw = r2c.spectrum_width();
+    std::vector<double> reals(count);
+    for (auto& v : reals) v = rng.next_double();
+    std::vector<fft::Complex> spectrum(h * sw);
+    r2c.execute(reals.data(), spectrum.data());
+    EXPECT_EQ(crc_of(spectrum), golden.forward) << "r2c execute";
+    std::vector<fft::Complex> padded(h * sw);
+    auto* rows = reinterpret_cast<double*>(padded.data());
+    for (std::size_t r = 0; r < h; ++r) {
+      std::copy_n(reals.data() + r * w, w, rows + r * 2 * sw);
+    }
+    r2c.execute_inplace_padded(padded.data());
+    EXPECT_EQ(crc_of(padded), golden.forward) << "r2c execute_inplace_padded";
+
+    std::vector<double> surface(count);
+    c2r.execute(spectrum.data(), surface.data());
+    EXPECT_EQ(crc_of(surface), golden.inverse) << "c2r execute";
+    std::vector<fft::Complex> half = spectrum;
+    c2r.execute_inplace_half(half.data());
+    EXPECT_EQ(crc32c(half.data(), count * sizeof(double)), golden.inverse)
+        << "c2r execute_inplace_half";
+  } else {
+    const fft::Plan2d forward(h, w, fft::Direction::kForward);
+    const fft::Plan2d inverse(h, w, fft::Direction::kInverse);
+    std::vector<fft::Complex> x(count);
+    for (auto& v : x) v = fft::Complex(rng.next_double(), rng.next_double());
+    std::vector<fft::Complex> spectrum(count);
+    forward.execute(x.data(), spectrum.data());
+    EXPECT_EQ(crc_of(spectrum), golden.forward) << "forward execute";
+    std::vector<fft::Complex> inplace = x;
+    forward.execute_inplace(inplace.data());
+    EXPECT_EQ(crc_of(inplace), golden.forward) << "forward execute_inplace";
+
+    std::vector<fft::Complex> surface(count);
+    inverse.execute(spectrum.data(), surface.data());
+    EXPECT_EQ(crc_of(surface), golden.inverse) << "inverse execute";
+    inplace = spectrum;
+    inverse.execute_inplace(inplace.data());
+    EXPECT_EQ(crc_of(inplace), golden.inverse) << "inverse execute_inplace";
+  }
+
+  const FftPipeline pipeline =
+      make_fft_pipeline(h, w, fft::Rigor::kEstimate, golden.real_fft);
+  const std::size_t bins = pipeline.spectrum_count();
+  std::vector<fft::Complex> a(bins), b(bins), surface(bins);
+  pipeline.stage(random_tile(h, w, 31), a.data());
+  pipeline.forward_inplace(a.data());
+  pipeline.stage(random_tile(h, w, 32), b.data());
+  pipeline.forward_inplace(b.data());
+  vgpu::k_ncc(a.data(), b.data(), surface.data(), bins);
+  pipeline.inverse_inplace(surface.data());
+  std::uint32_t crc = crc32c(
+      surface.data(),
+      count * (golden.real_fft ? sizeof(double) : sizeof(fft::Complex)));
+  for (const vgpu::MaxAbsResult& peak : pipeline.peaks(surface.data(), 3)) {
+    crc = crc32c(&peak.index, sizeof(peak.index), crc);
+    crc = crc32c(&peak.value, sizeof(peak.value), crc);
+  }
+  EXPECT_EQ(crc, golden.pipeline) << "pipeline sequence";
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    ShapesModesTiers, TransformGoldenBits,
+    ::testing::Combine(::testing::ValuesIn(kGoldenCrcs),
+                       ::testing::Values(common::KernelDispatch::kScalar,
+                                         common::KernelDispatch::kSse2,
+                                         common::KernelDispatch::kAvx2)),
+    [](const auto& param_info) {
+      const GoldenCrcs& g = std::get<0>(param_info.param);
+      return "h" + std::to_string(g.height) + "_w" + std::to_string(g.width) +
+             (g.real_fft ? "_r2c_" : "_c2c_") +
+             common::dispatch_name(std::get<1>(param_info.param));
     });
 
 // --- traversal -------------------------------------------------------------------

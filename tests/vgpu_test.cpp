@@ -1,5 +1,5 @@
 // Virtual-GPU runtime tests: memory arena, streams/events, buffer pool,
-// kernels, and vfft.
+// kernels, and the device FFT-kernel rule.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -13,7 +13,6 @@
 #include <thread>
 
 #include "common/rng.hpp"
-#include "fft/dft_ref.hpp"
 #include "vgpu/buffer_pool.hpp"
 #include "vgpu/device.hpp"
 #include "vgpu/kernels.hpp"
@@ -379,72 +378,19 @@ INSTANTIATE_TEST_SUITE_P(Sizes, SimdKernelSizes,
                          ::testing::Values(1, 2, 3, 7, 8, 63, 64, 65, 1000,
                                            1392 * 4 + 1));
 
-// --- vfft -----------------------------------------------------------------------
-
-TEST(Vfft, MatchesHostFft) {
-  Device device(small_device());
-  Stream stream(device, "fft");
-  const std::size_t h = 12, w = 16;
-  VFftPlan2d plan(device, h, w, fft::Direction::kForward);
-
-  Rng rng(8);
-  std::vector<fft::Complex> x(h * w);
-  for (auto& v : x) v = fft::Complex(rng.next_double(), rng.next_double());
-
-  DeviceBuffer in = device.alloc(plan.bytes());
-  DeviceBuffer out = device.alloc(plan.bytes());
-  stream.memcpy_h2d(in, x.data(), plan.bytes());
-  plan.enqueue(stream, in, out);
-  std::vector<fft::Complex> result(h * w);
-  stream.memcpy_d2h(result.data(), out, plan.bytes());
-  stream.synchronize();
-
-  const auto ref = fft::dft_reference_2d(x, h, w, fft::Direction::kForward);
-  for (std::size_t i = 0; i < h * w; ++i) {
-    EXPECT_LT(std::abs(result[i] - ref[i]), 1e-9);
-  }
-}
-
-TEST(Vfft, InplaceMatchesOutOfPlace) {
-  Device device(small_device());
-  Stream stream(device, "fft");
-  const std::size_t h = 8, w = 20;
-  VFftPlan2d plan(device, h, w, fft::Direction::kInverse);
-  Rng rng(9);
-  std::vector<fft::Complex> x(h * w);
-  for (auto& v : x) v = fft::Complex(rng.next_double(), rng.next_double());
-
-  DeviceBuffer a = device.alloc(plan.bytes());
-  DeviceBuffer b = device.alloc(plan.bytes());
-  stream.memcpy_h2d(a, x.data(), plan.bytes());
-  plan.enqueue_inplace(stream, a);
-  stream.memcpy_h2d(b, x.data(), plan.bytes());
-  // out-of-place into a scratch buffer
-  DeviceBuffer c = device.alloc(plan.bytes());
-  plan.enqueue(stream, b, c);
-  std::vector<fft::Complex> inplace(h * w), oop(h * w);
-  stream.memcpy_d2h(inplace.data(), a, plan.bytes());
-  stream.memcpy_d2h(oop.data(), c, plan.bytes());
-  stream.synchronize();
-  for (std::size_t i = 0; i < h * w; ++i) {
-    EXPECT_EQ(inplace[i], oop[i]);
-  }
-}
+// --- device FFT-kernel rule ------------------------------------------------------
 
 TEST(Vfft, KernelRuleFollowsDeviceGeneration) {
-  // Every device FFT runs through one execute path: on a Fermi device it
+  // Every device FFT runs through run_fft_kernel: on a Fermi device it
   // waits for the device's FFT mutex, on a Kepler device it does not.
   for (const bool kepler : {false, true}) {
     DeviceConfig config = small_device();
     config.concurrent_fft_kernels = kepler;
     Device device(config);
-    VFftPlan2d plan(device, 8, 8, fft::Direction::kForward);
-    std::vector<fft::Complex> data(plan.count());
     std::atomic<bool> done{false};
     std::unique_lock<std::mutex> held(device.fft_mutex());
     std::thread kernel([&] {
-      plan.execute_inplace(data.data());
-      done = true;
+      run_fft_kernel(device, [&] { done = true; });
     });
     if (kepler) {
       const auto deadline =
@@ -460,24 +406,6 @@ TEST(Vfft, KernelRuleFollowsDeviceGeneration) {
     kernel.join();
     EXPECT_TRUE(done.load());
   }
-}
-
-TEST(Vfft, RejectsUndersizedBuffer) {
-  Device device(small_device());
-  Stream stream(device, "fft");
-  VFftPlan2d plan(device, 16, 16, fft::Direction::kForward);
-  DeviceBuffer tiny = device.alloc(64);
-  DeviceBuffer ok = device.alloc(plan.bytes());
-  EXPECT_THROW(plan.enqueue(stream, tiny, ok), InvalidArgument);
-}
-
-TEST(Vfft, RejectsForeignStream) {
-  Device device_a(small_device()), device_b(small_device());
-  Stream stream_b(device_b, "s");
-  VFftPlan2d plan(device_a, 8, 8, fft::Direction::kForward);
-  DeviceBuffer in = device_a.alloc(plan.bytes());
-  DeviceBuffer out = device_a.alloc(plan.bytes());
-  EXPECT_THROW(plan.enqueue(stream_b, in, out), InvalidArgument);
 }
 
 }  // namespace
