@@ -17,13 +17,15 @@ namespace hs::fft {
 namespace {
 
 // ---------------------------------------------------------------------------
-// Thread-local scratch arena with stack discipline. FFT executions may nest
-// (Bluestein holds a lease while its inner power-of-two plans take their
-// own), so leases bump an offset and restore it on destruction.
+// Thread-local scratch, one lease at a time. Leases must not nest: a lease
+// taken while another is held could grow `storage` and leave the outer
+// lease's pointer dangling, so a nested lease aborts. Nothing nests today —
+// Bluestein's inner plans run out of place and take none, and
+// execute_columns gathers Bluestein columns outside the arena.
 // ---------------------------------------------------------------------------
 struct ScratchArena {
   std::vector<Complex> storage;
-  std::size_t offset = 0;
+  bool leased = false;
 };
 
 ScratchArena& tls_arena() {
@@ -34,15 +36,12 @@ ScratchArena& tls_arena() {
 class ScratchLease {
  public:
   explicit ScratchLease(std::size_t count) : arena_(tls_arena()) {
-    base_ = arena_.offset;
-    if (arena_.storage.size() < base_ + count) {
-      arena_.storage.resize(base_ + count);
-    }
-    arena_.offset = base_ + count;
-    // resize may reallocate; take the pointer only after growth.
-    ptr_ = arena_.storage.data() + base_;
+    HS_ASSERT(!arena_.leased);
+    arena_.leased = true;
+    if (arena_.storage.size() < count) arena_.storage.resize(count);
+    ptr_ = arena_.storage.data();
   }
-  ~ScratchLease() { arena_.offset = base_; }
+  ~ScratchLease() { arena_.leased = false; }
   ScratchLease(const ScratchLease&) = delete;
   ScratchLease& operator=(const ScratchLease&) = delete;
 
@@ -50,7 +49,6 @@ class ScratchLease {
 
  private:
   ScratchArena& arena_;
-  std::size_t base_;
   Complex* ptr_;
 };
 
@@ -74,14 +72,21 @@ double direction_sign(Direction dir) {
 // Mixed-radix recursive DIT kernel over a fixed factor ordering.
 // All nodes at recursion depth d share sub-size, radix, and twiddle tables,
 // so the tables are precomputed per depth at plan time.
+//
+// L sequences run interleaved: element i of lane b sits at i * L + b, each
+// level twiddle is stored L times over, and every butterfly runs over m * L
+// columns. Each lane therefore executes exactly the L = 1 operation
+// sequence, in every codelet tier and for every factor ordering.
 // ---------------------------------------------------------------------------
+template <std::size_t L>
 struct SmoothPlan {
   std::size_t n = 0;
   Direction dir = Direction::kForward;
   const codelets::Set* cod = nullptr;  // butterfly codelets for the tier
   std::vector<int> factors;            // radix applied at each depth
   std::vector<std::size_t> subsize;    // transform size at each depth
-  std::vector<std::vector<Complex>> level_tw;  // [depth][j*m + k] = W^(j*k*s)
+  std::vector<std::vector<Complex>> level_tw;  // [depth][(j*m + k)*L + b]
+                                               //   = W^(j*k*s)
   std::vector<std::vector<Complex>> radix_tw;  // [depth][j*r + q] = W_r^(j*q)
 
   void build(std::size_t size, Direction direction, std::vector<int> order,
@@ -103,13 +108,13 @@ struct SmoothPlan {
       const std::size_t m = sub / static_cast<std::size_t>(r);
       const std::size_t stride = n / sub;  // twiddle stride for this depth
       auto& tw = level_tw[d];
-      tw.resize(static_cast<std::size_t>(r) * m);
+      tw.resize(static_cast<std::size_t>(r) * m * L);
       for (int j = 0; j < r; ++j) {
         for (std::size_t k = 0; k < m; ++k) {
           const auto t = static_cast<double>(
               (static_cast<std::uint64_t>(j) * k * stride) % n);
-          tw[static_cast<std::size_t>(j) * m + k] =
-              Complex(std::cos(theta * t), std::sin(theta * t));
+          std::fill_n(tw.begin() + (static_cast<std::size_t>(j) * m + k) * L,
+                      L, Complex(std::cos(theta * t), std::sin(theta * t)));
         }
       }
       auto& wr = radix_tw[d];
@@ -128,11 +133,13 @@ struct SmoothPlan {
     HS_ASSERT(sub == 1);
   }
 
+  // Input element i's L lanes are adjacent at in + i * stride; the output
+  // is the interleaved size x L block at `out`.
   void run(const Complex* in, std::size_t stride, Complex* out,
            std::size_t depth) const {
     const std::size_t sub = subsize[depth];
     if (sub == 1) {
-      out[0] = in[0];
+      std::copy_n(in, L, out);
       return;
     }
     const int r = factors[depth];
@@ -140,18 +147,19 @@ struct SmoothPlan {
     for (int j = 0; j < r; ++j) {
       run(in + static_cast<std::size_t>(j) * stride,
           stride * static_cast<std::size_t>(r),
-          out + static_cast<std::size_t>(j) * m, depth + 1);
+          out + static_cast<std::size_t>(j) * m * L, depth + 1);
     }
     // Butterfly bodies live in fft/codelets.cpp (and its SIMD siblings);
     // every tier's codelet is bit-identical to the scalar reference, so the
     // tier choice affects speed only.
     const Complex* tw = level_tw[depth].data();
+    const std::size_t cols = m * L;
     if (r == 2) {
-      cod->bf2(out, tw, m);
+      cod->bf2(out, tw, cols);
     } else if (r == 4) {
-      cod->bf4(out, tw, m, dir == Direction::kForward);
+      cod->bf4(out, tw, cols, dir == Direction::kForward);
     } else {
-      cod->bfr(out, tw, radix_tw[depth].data(), r, m);
+      cod->bfr(out, tw, radix_tw[depth].data(), r, cols);
     }
   }
 };
@@ -294,11 +302,23 @@ struct Plan1d::Impl {
   Direction dir = Direction::kForward;
   common::SimdTier tier = common::SimdTier::kScalar;
   bool bluestein = false;
-  SmoothPlan smooth;
+  SmoothPlan<1> smooth;
+  std::unique_ptr<SmoothPlan<kLanes>> lane;  // only when built with lanes
   std::unique_ptr<BluesteinState> blue;
+
+  // Builds the smooth kernel (and the lane kernel, if asked) for one factor
+  // ordering and tier.
+  void build(std::vector<int> order, common::SimdTier t, bool lanes) {
+    tier = t;
+    if (lanes) {
+      lane = std::make_unique<SmoothPlan<kLanes>>();
+      lane->build(n, dir, order, t);
+    }
+    smooth.build(n, dir, std::move(order), t);
+  }
 };
 
-Plan1d::Plan1d(std::size_t n, Direction dir, Rigor rigor)
+Plan1d::Plan1d(std::size_t n, Direction dir, Rigor rigor, bool lanes)
     : impl_(std::make_unique<Impl>()) {
   HS_REQUIRE(n >= 1, "FFT size must be positive");
   impl_->n = n;
@@ -308,7 +328,7 @@ Plan1d::Plan1d(std::size_t n, Direction dir, Rigor rigor)
   const common::SimdTier active = common::active_tier();
   impl_->tier = active;
   if (n == 1) {
-    impl_->smooth.build(1, dir, {}, active);
+    impl_->build({}, active, lanes);
     return;
   }
   const std::vector<int> primes = prime_factors(n);
@@ -329,8 +349,7 @@ Plan1d::Plan1d(std::size_t n, Direction dir, Rigor rigor)
     if (remembered->tier != kTierUnspecified) {
       tier = std::min(static_cast<common::SimdTier>(remembered->tier), active);
     }
-    impl_->tier = tier;
-    impl_->smooth.build(n, dir, std::move(remembered->factors), tier);
+    impl_->build(std::move(remembered->factors), tier, lanes);
     return;
   }
   // kEstimate trusts the widest supported tier; measured rigors time every
@@ -346,7 +365,7 @@ Plan1d::Plan1d(std::size_t n, Direction dir, Rigor rigor)
     }
   }
   if (candidates.size() == 1 && tiers.size() == 1) {
-    impl_->smooth.build(n, dir, std::move(candidates[0]), tiers[0]);
+    impl_->build(std::move(candidates[0]), tiers[0], lanes);
     return;
   }
   // Measure each candidate on scratch data and keep the fastest.
@@ -361,7 +380,7 @@ Plan1d::Plan1d(std::size_t n, Direction dir, Rigor rigor)
   bool first = true;
   for (std::size_t c = 0; c < candidates.size(); ++c) {
     for (const common::SimdTier tier : tiers) {
-      SmoothPlan trial;
+      SmoothPlan<1> trial;
       trial.build(n, dir, candidates[c], tier);
       trial.run(input.data(), 1, output.data(), 0);  // warm-up
       const auto start = std::chrono::steady_clock::now();
@@ -382,8 +401,7 @@ Plan1d::Plan1d(std::size_t n, Direction dir, Rigor rigor)
   // Remember the winner so future plans (and, via wisdom_save, future
   // processes) skip the measurement.
   wisdom_remember(n, dir, candidates[best_index], best_tier);
-  impl_->tier = best_tier;
-  impl_->smooth.build(n, dir, std::move(candidates[best_index]), best_tier);
+  impl_->build(std::move(candidates[best_index]), best_tier, lanes);
 }
 
 Plan1d::~Plan1d() = default;
@@ -408,6 +426,47 @@ void Plan1d::execute_inplace(Complex* data) const {
   Complex* scratch = lease.get();
   std::copy(data, data + impl_->n, scratch);
   impl_->smooth.run(scratch, 1, data, 0);
+}
+
+void Plan1d::execute_columns(Complex* data, std::size_t cols) const {
+  const std::size_t n = impl_->n;
+  if (!impl_->lane) {
+    // Column by column, gathered outside the scratch arena: Bluestein's run
+    // takes a lease of its own.
+    std::vector<Complex> column(n);
+    for (std::size_t c = 0; c < cols; ++c) {
+      for (std::size_t i = 0; i < n; ++i) column[i] = data[i * cols + c];
+      execute_inplace(column.data());
+      for (std::size_t i = 0; i < n; ++i) data[i * cols + c] = column[i];
+    }
+    return;
+  }
+  // kLanes columns per run: the leaves read each row's kLanes adjacent
+  // elements in place (stride `cols`) into the n x kLanes block, which is
+  // copied back. The last partial block is gathered next to it with zero
+  // lanes.
+  const SmoothPlan<kLanes>& lane = *impl_->lane;
+  const std::size_t full = cols - cols % kLanes;
+  const std::size_t tail = cols - full;
+  ScratchLease lease(n * kLanes * (tail == 0 ? 1 : 2));
+  Complex* block = lease.get();
+  for (std::size_t c = 0; c < full; c += kLanes) {
+    lane.run(data + c, cols, block, 0);
+    for (std::size_t i = 0; i < n; ++i) {
+      std::copy_n(block + i * kLanes, kLanes, data + i * cols + c);
+    }
+  }
+  if (tail == 0) return;
+  Complex* gathered = block + n * kLanes;
+  for (std::size_t i = 0; i < n; ++i) {
+    Complex* dst = std::copy_n(data + i * cols + full, tail,
+                               gathered + i * kLanes);
+    std::fill_n(dst, kLanes - tail, Complex(0.0, 0.0));
+  }
+  lane.run(gathered, kLanes, block, 0);
+  for (std::size_t i = 0; i < n; ++i) {
+    std::copy_n(block + i * kLanes, tail, data + i * cols + full);
+  }
 }
 
 std::size_t Plan1d::size() const { return impl_->n; }

@@ -7,24 +7,6 @@
 
 namespace hs::fft {
 
-namespace {
-
-// The column pass every 2-D entry point shares: transpose the rows x cols
-// array `in` into scratch, transform each column there as a unit-stride row,
-// transpose back into `out`. `out` may be `in`.
-void column_pass(const codelets::Set& cod, const Plan1d& col,
-                 const Complex* in, Complex* out, std::size_t rows,
-                 std::size_t cols) {
-  std::vector<Complex> scratch(rows * cols);
-  cod.transpose(in, scratch.data(), rows, cols);
-  for (std::size_t c = 0; c < cols; ++c) {
-    col.execute_inplace(scratch.data() + c * rows);
-  }
-  cod.transpose(scratch.data(), out, cols, rows);
-}
-
-}  // namespace
-
 void transpose(const Complex* in, Complex* out, std::size_t rows,
                std::size_t cols) {
   // Free-function form dispatches per call; plans capture their codelet set
@@ -37,37 +19,51 @@ Plan2d::Plan2d(std::size_t height, std::size_t width, Direction dir,
     : h_(height),
       w_(width),
       dir_(dir),
-      row_(width, dir, rigor),
-      col_(height, dir, rigor),
+      row_(width, dir, rigor, /*lanes=*/true),
+      col_(height, dir, rigor, /*lanes=*/true),
       cod_(&codelets::set_for(common::active_tier())) {
   HS_REQUIRE(height >= 1 && width >= 1, "2-D FFT dimensions must be positive");
 }
 
-common::SimdTier Plan2d::simd_tier() const { return cod_->tier; }
+common::SimdTier Plan2d::transpose_tier() const { return cod_->tier; }
+
+void Plan2d::row_pass(const Complex* in, Complex* out) const {
+  std::size_t r = 0;
+  if (!row_.uses_bluestein()) {
+    // kLanes rows at a time: transpose them into a w x kLanes block (in
+    // cache), transform its columns with the lane kernel, transpose back.
+    std::vector<Complex> block(w_ * kLanes);
+    for (; r + kLanes <= h_; r += kLanes) {
+      cod_->transpose(in + r * w_, block.data(), kLanes, w_);
+      row_.execute_columns(block.data(), kLanes);
+      cod_->transpose(block.data(), out + r * w_, w_, kLanes);
+    }
+  }
+  for (; r < h_; ++r) {
+    if (in == out) {
+      row_.execute_inplace(out + r * w_);
+    } else {
+      row_.execute(in + r * w_, out + r * w_);
+    }
+  }
+}
 
 void Plan2d::execute(const Complex* in, Complex* out) const {
   HS_ASSERT(in != out);
-  for (std::size_t r = 0; r < h_; ++r) {
-    row_.execute(in + r * w_, out + r * w_);
-  }
-  column_pass(*cod_, col_, out, out, h_, w_);
+  row_pass(in, out);
+  col_.execute_columns(out, w_);
 }
 
 void Plan2d::execute_inplace(Complex* data) const {
-  for (std::size_t r = 0; r < h_; ++r) {
-    row_.execute_inplace(data + r * w_);
-  }
-  column_pass(*cod_, col_, data, data, h_, w_);
+  row_pass(data, data);
+  col_.execute_columns(data, w_);
 }
 
 PlanR2c2d::PlanR2c2d(std::size_t height, std::size_t width, Rigor rigor)
     : h_(height), w_(width), row_(width, rigor),
-      col_(height, Direction::kForward, rigor),
-      cod_(&codelets::set_for(common::active_tier())) {
+      col_(height, Direction::kForward, rigor, /*lanes=*/true) {
   HS_REQUIRE(height >= 1, "2-D FFT dimensions must be positive");
 }
-
-common::SimdTier PlanR2c2d::simd_tier() const { return cod_->tier; }
 
 void PlanR2c2d::execute(const double* in, Complex* out) const {
   const std::size_t sw = spectrum_width();
@@ -75,7 +71,7 @@ void PlanR2c2d::execute(const double* in, Complex* out) const {
     row_.execute(in + r * w_, out + r * sw);
   }
   // Full complex FFT down each of the sw retained columns.
-  column_pass(*cod_, col_, out, out, h_, sw);
+  col_.execute_columns(out, sw);
 }
 
 void PlanR2c2d::execute_inplace_padded(Complex* data) const {
@@ -86,32 +82,34 @@ void PlanR2c2d::execute_inplace_padded(Complex* data) const {
   for (std::size_t r = 0; r < h_; ++r) {
     row_.execute(reals + r * 2 * sw, data + r * sw);
   }
-  column_pass(*cod_, col_, data, data, h_, sw);
+  col_.execute_columns(data, sw);
 }
 
 PlanC2r2d::PlanC2r2d(std::size_t height, std::size_t width, Rigor rigor)
     : h_(height), w_(width), row_(width, rigor),
-      col_(height, Direction::kInverse, rigor),
-      cod_(&codelets::set_for(common::active_tier())) {
+      col_(height, Direction::kInverse, rigor, /*lanes=*/true) {
   HS_REQUIRE(height >= 1, "2-D FFT dimensions must be positive");
 }
 
-common::SimdTier PlanC2r2d::simd_tier() const { return cod_->tier; }
-
 void PlanC2r2d::execute(const Complex* in, double* out) const {
   const std::size_t sw = spectrum_width();
-  // Inverse column pass first (undoing the forward order), then row c2r.
-  std::vector<Complex> cols(h_ * sw);
-  column_pass(*cod_, col_, in, cols.data(), h_, sw);
+  // Inverse column pass first (undoing the forward order) on a copy of
+  // `in`, since it runs in place; then row c2r.
+  std::vector<Complex> cols(in, in + h_ * sw);
+  col_.execute_columns(cols.data(), sw);
   for (std::size_t r = 0; r < h_; ++r) {
     row_.execute(cols.data() + r * sw, out + r * w_);
   }
 }
 
 void PlanC2r2d::execute_inplace_half(Complex* data) const {
-  // execute() reads all of `in` into its column buffers before it writes
-  // `out`, so the real rows can pack into the front of the same buffer.
-  execute(data, reinterpret_cast<double*>(data));
+  const std::size_t sw = spectrum_width();
+  col_.execute_columns(data, sw);
+  // Row c2r in row order into packed doubles at the front of the buffer.
+  double* reals = reinterpret_cast<double*>(data);
+  for (std::size_t r = 0; r < h_; ++r) {
+    row_.execute(data + r * sw, reals + r * w_);
+  }
 }
 
 }  // namespace hs::fft

@@ -3,9 +3,13 @@
 // The complex plan is the workhorse of the stitching algorithm: every tile's
 // forward transform and every pair's inverse NCC transform is a Plan2d
 // execution (paper Table I: 3nm-n-m transforms for an n x m grid). Every
-// plan pairs a row pass with one shared column pass (a blocked transpose, a
-// unit-stride 1-D transform per column, a transpose back), so both passes
-// run at unit stride; the c2r plan runs its columns first.
+// plan pairs a row pass with a column pass that its column Plan1d runs in
+// place through the lane kernel (Plan1d::execute_columns: kLanes adjacent
+// columns per butterfly, read where they lie, no transposes and no
+// full-size scratch); the c2r plan runs its columns first. The complex
+// plan's row pass takes kLanes rows at a time through an in-cache block
+// transpose and the same lane kernel; the r2c and c2r row passes go row by
+// row, because their untangle steps read mirror bins.
 #pragma once
 
 #include <cstddef>
@@ -40,21 +44,25 @@ class Plan2d {
   std::size_t count() const { return h_ * w_; }
   Direction direction() const { return dir_; }
 
-  /// The transpose codelet tier captured at plan time (row/column 1-D plans
-  /// carry their own tiers via Plan1d::simd_tier()).
-  common::SimdTier simd_tier() const;
+  /// The tier of the transpose codelet the row blocks run, captured at plan
+  /// time (row/column 1-D plans carry their own tiers via
+  /// Plan1d::simd_tier()).
+  common::SimdTier transpose_tier() const;
 
   /// The butterfly codelet tier of the embedded row 1-D plan (columns
   /// resolve identically: both plans were built under the same dispatch).
   common::SimdTier fft_tier() const { return row_.simd_tier(); }
 
  private:
+  // Row transforms of `in` into `out` (which may be `in`).
+  void row_pass(const Complex* in, Complex* out) const;
+
   std::size_t h_;
   std::size_t w_;
   Direction dir_;
   Plan1d row_;
   Plan1d col_;
-  const codelets::Set* cod_;
+  const codelets::Set* cod_;  // the row blocks' transpose
 };
 
 /// Forward real-to-complex 2-D transform: h x w reals in, h x (w/2+1)
@@ -72,14 +80,13 @@ class PlanR2c2d {
   /// its own spectrum row, FFTW style); on exit the buffer holds the
   /// height() x spectrum_width() half spectrum. Safe because each row's
   /// output occupies exactly its own input region and PlanR2c1d buffers its
-  /// input before writing.
+  /// input before writing; the column pass then runs in place.
   void execute_inplace_padded(Complex* data) const;
 
   std::size_t height() const { return h_; }
   std::size_t width() const { return w_; }
   std::size_t spectrum_width() const { return w_ / 2 + 1; }
   std::size_t spectrum_count() const { return h_ * spectrum_width(); }
-  common::SimdTier simd_tier() const;
 
   /// Butterfly codelet tier of the embedded column 1-D plan (the row r2c
   /// plans resolve identically under the same dispatch).
@@ -90,7 +97,6 @@ class PlanR2c2d {
   std::size_t w_;
   PlanR2c1d row_;
   Plan1d col_;
-  const codelets::Set* cod_;
 };
 
 /// Inverse of PlanR2c2d (unnormalized: round trip scales by h*w).
@@ -103,15 +109,16 @@ class PlanC2r2d {
 
   /// In-place for device buffers: `data` holds the height() x
   /// spectrum_width() half spectrum; on exit the same buffer holds
-  /// height()*width() packed doubles (the real inverse image). Safe because
-  /// the input is transposed into scratch before any output is written.
+  /// height()*width() packed doubles (the real inverse image). The column
+  /// pass runs in place first; then row r's c2r writes doubles
+  /// [r*w, (r+1)*w), which end before row r+1's input at (r+1)*2*sw, and
+  /// PlanC2r1d retangles its row into its own buffer before it writes.
   void execute_inplace_half(Complex* data) const;
 
   std::size_t height() const { return h_; }
   std::size_t width() const { return w_; }
   std::size_t spectrum_width() const { return w_ / 2 + 1; }
   std::size_t spectrum_count() const { return h_ * spectrum_width(); }
-  common::SimdTier simd_tier() const;
 
   /// Butterfly codelet tier of the embedded column 1-D plan (the row c2r
   /// plans resolve identically under the same dispatch).
@@ -122,7 +129,6 @@ class PlanC2r2d {
   std::size_t w_;
   PlanC2r1d row_;
   Plan1d col_;
-  const codelets::Set* cod_;
 };
 
 /// Blocked out-of-place transpose: `in` is rows x cols, `out` becomes

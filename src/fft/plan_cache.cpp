@@ -4,6 +4,7 @@
 #include <map>
 #include <mutex>
 #include <tuple>
+#include <type_traits>
 
 #include "common/simd.hpp"
 #include "metrics/wellknown.hpp"
@@ -19,7 +20,8 @@ struct CacheMetrics {
   metrics::Histogram& build_us;
 };
 
-// Hits by the cached plan's codelet tier: which variants actually re-run.
+// Hits by the cached plan's butterfly codelet tier: which variants actually
+// re-run.
 metrics::Counter& tier_hits(common::SimdTier tier) {
   using metrics::wellknown::plan_cache_tier_hits;
   static metrics::Counter& scalar = plan_cache_tier_hits("scalar");
@@ -36,7 +38,10 @@ metrics::Counter& tier_hits(common::SimdTier tier) {
 // Keeps the hs_kernel_dispatch info gauges of the transpose and fft
 // families current. Each family keeps one last-tier state, shared by every
 // plan kind, and its gauge is written only when the tier actually changes.
-void note_dispatch(common::SimdTier transpose, common::SimdTier fft) {
+// Only Plan2d runs a transpose (its row blocks), so only it notes that
+// family.
+template <typename Plan>
+void note_dispatch(const Plan& plan) {
   static std::atomic<int> last_transpose{-1};
   static std::atomic<int> last_fft{-1};
   const auto note = [](const char* family, std::atomic<int>& last,
@@ -46,8 +51,10 @@ void note_dispatch(common::SimdTier transpose, common::SimdTier fft) {
       metrics::wellknown::note_kernel_dispatch(family, tier);
     }
   };
-  note("transpose", last_transpose, transpose);
-  note("fft", last_fft, fft);
+  if constexpr (std::is_same_v<Plan, Plan2d>) {
+    note("transpose", last_transpose, plan.transpose_tier());
+  }
+  note("fft", last_fft, plan.fft_tier());
 }
 
 CacheMetrics& cache_metrics(Rigor rigor) {
@@ -103,7 +110,7 @@ struct PlanCache::Impl {
       std::lock_guard<std::mutex> lock(mutex);
       if (auto it = map.find(k); it != map.end()) {
         m.hits.add();
-        tier_hits(it->second->simd_tier()).add();
+        tier_hits(it->second->fft_tier()).add();
         return it->second;
       }
     }
@@ -113,7 +120,7 @@ struct PlanCache::Impl {
       HS_METRIC_TIMER(m.build_us);
       plan = build();
     }
-    note_dispatch(plan->simd_tier(), plan->fft_tier());
+    note_dispatch(*plan);
     std::lock_guard<std::mutex> lock(mutex);
     return map.emplace(k, std::move(plan)).first->second;
   }

@@ -40,8 +40,6 @@ PlanR2c1d::PlanR2c1d(std::size_t n, Rigor rigor)
       twiddle_(make_half_twiddles(n)),
       cod_(&codelets::set_for(inner_.simd_tier())) {}
 
-common::SimdTier PlanR2c1d::simd_tier() const { return cod_->tier; }
-
 void PlanR2c1d::execute(const double* in, Complex* out) const {
   if (!uses_packing()) {
     // Odd-length fallback: widen to complex, full transform, keep the half
@@ -72,8 +70,6 @@ PlanC2r1d::PlanC2r1d(std::size_t n, Rigor rigor)
       inner_(checked_inner(n), Direction::kInverse, rigor),
       twiddle_(make_half_twiddles(n)),
       cod_(&codelets::set_for(inner_.simd_tier())) {}
-
-common::SimdTier PlanC2r1d::simd_tier() const { return cod_->tier; }
 
 void PlanC2r1d::execute(const Complex* in, double* out) const {
   if (!uses_packing()) {

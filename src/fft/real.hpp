@@ -42,7 +42,6 @@ class PlanR2c1d {
   /// True when the even/odd half-length packing applies (even n); odd n runs
   /// a full complex transform instead.
   bool uses_packing() const { return n_ % 2 == 0; }
-  common::SimdTier simd_tier() const;
 
  private:
   std::size_t n_;
@@ -63,7 +62,6 @@ class PlanC2r1d {
 
   std::size_t size() const { return n_; }
   bool uses_packing() const { return n_ % 2 == 0; }
-  common::SimdTier simd_tier() const;
 
  private:
   std::size_t n_;

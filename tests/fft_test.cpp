@@ -7,15 +7,18 @@
 
 #include <cmath>
 #include <complex>
+#include <cstring>
 #include <numbers>
 
 #include "common/error.hpp"
 #include "common/rng.hpp"
+#include "common/simd.hpp"
 #include "fft/dft_ref.hpp"
 #include "fft/plan1d.hpp"
 #include "fft/plan2d.hpp"
 #include "fft/plan_cache.hpp"
 #include "fft/real.hpp"
+#include "fft/wisdom.hpp"
 
 namespace hs::fft {
 namespace {
@@ -36,6 +39,11 @@ double max_error(const std::vector<Complex>& a, const std::vector<Complex>& b) {
     m = std::max(m, std::abs(a[i] - b[i]));
   }
   return m;
+}
+
+bool same_bytes(const std::vector<Complex>& a, const std::vector<Complex>& b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(Complex)) == 0;
 }
 
 // --- parameterized 1-D correctness -----------------------------------------
@@ -509,6 +517,108 @@ TEST(Transpose, RoundTripIsIdentity) {
   EXPECT_LT(max_error(back, x), 0.0 + 1e-15);
   // Spot-check the actual transposition.
   EXPECT_EQ(t[5 * rows + 7], x[7 * cols + 5]);
+}
+
+// --- lane kernel -------------------------------------------------------------
+
+// The lane kernel must write exactly the bytes of the per-column reference:
+// gather a column, execute_inplace it, scatter it back. Every tier, both
+// directions; widths 1-9 and 17 leave every partial block size 1-7 and
+// full blocks with and without a tail. ctest runs each case in a fresh
+// process, which is where a scratch lease taken over another would show.
+const common::KernelDispatch kLaneTiers[] = {common::KernelDispatch::kScalar,
+                                             common::KernelDispatch::kSse2,
+                                             common::KernelDispatch::kAvx2};
+const std::size_t kLaneWidths[] = {1, 2, 3, 4, 5, 6, 7, 8, 9, 17};
+
+void per_column_reference(const Plan1d& plan, Complex* data,
+                          std::size_t cols) {
+  const std::size_t n = plan.size();
+  std::vector<Complex> column(n);
+  for (std::size_t c = 0; c < cols; ++c) {
+    for (std::size_t i = 0; i < n; ++i) column[i] = data[i * cols + c];
+    plan.execute_inplace(column.data());
+    for (std::size_t i = 0; i < n; ++i) data[i * cols + c] = column[i];
+  }
+}
+
+void expect_lanes_match_per_column(std::size_t n) {
+  for (const auto tier : kLaneTiers) {
+    const common::ScopedKernelDispatch forced(tier);
+    for (const auto dir : {Direction::kForward, Direction::kInverse}) {
+      const Plan1d plan(n, dir, Rigor::kEstimate, /*lanes=*/true);
+      for (const std::size_t cols : kLaneWidths) {
+        const auto data = random_signal(n * cols, 100 * n + cols);
+        auto lanes = data;
+        plan.execute_columns(lanes.data(), cols);
+        auto expect = data;
+        per_column_reference(plan, expect.data(), cols);
+        EXPECT_TRUE(same_bytes(lanes, expect))
+            << "n=" << n << " cols=" << cols << " "
+            << common::dispatch_name(tier)
+            << (dir == Direction::kForward ? " forward" : " inverse");
+      }
+    }
+  }
+}
+
+class LanePassHeights : public ::testing::TestWithParam<std::size_t> {};
+
+TEST_P(LanePassHeights, MatchesPerColumnReferenceBytes) {
+  expect_lanes_match_per_column(GetParam());
+}
+
+// The paper-shaped heights (and 1, 29, 87 for short and odd-radix plans);
+// 37 and 97 are Bluestein heights, which go column by column.
+INSTANTIATE_TEST_SUITE_P(Heights, LanePassHeights,
+                         ::testing::Values(1, 29, 87, 520, 696, 1040, 1392,
+                                           37, 97));
+
+TEST(LanePass, WisdomEvenRadixMatchesPerColumnReference) {
+  // Even composite radices reach the dense bfr product only through wisdom.
+  wisdom_clear();
+  wisdom_remember(240, Direction::kForward, {8, 6, 5});
+  wisdom_remember(240, Direction::kInverse, {8, 6, 5});
+  {
+    const Plan1d plan(240, Direction::kForward, Rigor::kEstimate, true);
+    EXPECT_EQ(plan.factors(), (std::vector<int>{8, 6, 5}));
+  }
+  expect_lanes_match_per_column(240);
+  wisdom_clear();
+}
+
+TEST(LanePass, Plan2dRowBlocksMatchPerRowReference) {
+  // Plan2d takes kLanes rows at a time through a block transpose and the
+  // lane kernel, and the h mod kLanes leftovers row by row; heights 1-17
+  // give every leftover count with zero, one and two full blocks. Width 37
+  // is a Bluestein row plan, which goes row by row.
+  for (const auto tier : kLaneTiers) {
+    const common::ScopedKernelDispatch forced(tier);
+    for (const auto dir : {Direction::kForward, Direction::kInverse}) {
+      for (const std::size_t w : {12, 29, 37}) {
+        const Plan1d row(w, dir);
+        for (std::size_t h = 1; h <= 17; ++h) {
+          const Plan2d plan(h, w, dir);
+          const Plan1d col(h, dir);
+          const auto data = random_signal(h * w, 1000 * h + w);
+          auto expect = data;
+          for (std::size_t r = 0; r < h; ++r) {
+            row.execute_inplace(expect.data() + r * w);
+          }
+          per_column_reference(col, expect.data(), w);
+          auto inplace = data;
+          plan.execute_inplace(inplace.data());
+          std::vector<Complex> out(h * w);
+          plan.execute(data.data(), out.data());
+          const std::string where = std::to_string(h) + "x" +
+                                    std::to_string(w) + " " +
+                                    common::dispatch_name(tier);
+          EXPECT_TRUE(same_bytes(inplace, expect)) << where << " in place";
+          EXPECT_TRUE(same_bytes(out, expect)) << where << " out of place";
+        }
+      }
+    }
+  }
 }
 
 // --- plan cache --------------------------------------------------------------

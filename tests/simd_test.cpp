@@ -25,6 +25,7 @@
 #include "fft/types.hpp"
 #include "fft/wisdom.hpp"
 #include "metrics/wellknown.hpp"
+#include "stitch/pciam.hpp"
 #include "stitch/request.hpp"
 #include "stitch/stitcher.hpp"
 #include "testing_providers.hpp"
@@ -467,6 +468,31 @@ TEST(SimdPlanCache, ForcedTierJoinsTheCacheKey) {
   }
   if (common::detected_tier() != SimdTier::kScalar) {
     EXPECT_NE(scalar_plan, auto_plan);
+  }
+  cache.clear();
+}
+
+TEST(SimdPlanCache, OnlyTheComplexPlanNotesTheTransposeFamily) {
+  // Only Plan2d's row blocks run a transpose. Building an r2c+c2r pipeline
+  // under a forced tier notes the fft family and leaves the transpose gauge
+  // on the tier the last complex plan noted; a complex pipeline moves it.
+  using metrics::wellknown::kernel_dispatch;
+  auto& cache = fft::PlanCache::instance();
+  cache.clear();
+  const char* wide = nullptr;
+  {
+    ScopedKernelDispatch forced(KernelDispatch::kAuto);
+    stitch::make_fft_pipeline(8, 12, fft::Rigor::kEstimate, false);
+    wide = common::tier_name(common::active_tier());
+  }
+  EXPECT_EQ(kernel_dispatch("transpose", wide).value(), 1);
+  {
+    ScopedKernelDispatch forced(KernelDispatch::kScalar);
+    stitch::make_fft_pipeline(8, 12, fft::Rigor::kEstimate, true);
+    EXPECT_EQ(kernel_dispatch("fft", "scalar").value(), 1);
+    EXPECT_EQ(kernel_dispatch("transpose", wide).value(), 1);
+    stitch::make_fft_pipeline(8, 12, fft::Rigor::kEstimate, false);
+    EXPECT_EQ(kernel_dispatch("transpose", "scalar").value(), 1);
   }
   cache.clear();
 }
