@@ -303,22 +303,19 @@ struct Plan1d::Impl {
   common::SimdTier tier = common::SimdTier::kScalar;
   bool bluestein = false;
   SmoothPlan<1> smooth;
-  std::unique_ptr<SmoothPlan<kLanes>> lane;  // only when built with lanes
+  SmoothPlan<kLanes> lane;  // execute_columns' kernel, same ordering and tier
   std::unique_ptr<BluesteinState> blue;
 
-  // Builds the smooth kernel (and the lane kernel, if asked) for one factor
-  // ordering and tier.
-  void build(std::vector<int> order, common::SimdTier t, bool lanes) {
+  // Builds the smooth kernel and its lane kernel for one factor ordering
+  // and tier.
+  void build(std::vector<int> order, common::SimdTier t) {
     tier = t;
-    if (lanes) {
-      lane = std::make_unique<SmoothPlan<kLanes>>();
-      lane->build(n, dir, order, t);
-    }
+    lane.build(n, dir, order, t);
     smooth.build(n, dir, std::move(order), t);
   }
 };
 
-Plan1d::Plan1d(std::size_t n, Direction dir, Rigor rigor, bool lanes)
+Plan1d::Plan1d(std::size_t n, Direction dir, Rigor rigor)
     : impl_(std::make_unique<Impl>()) {
   HS_REQUIRE(n >= 1, "FFT size must be positive");
   impl_->n = n;
@@ -328,7 +325,7 @@ Plan1d::Plan1d(std::size_t n, Direction dir, Rigor rigor, bool lanes)
   const common::SimdTier active = common::active_tier();
   impl_->tier = active;
   if (n == 1) {
-    impl_->build({}, active, lanes);
+    impl_->build({}, active);
     return;
   }
   const std::vector<int> primes = prime_factors(n);
@@ -349,7 +346,7 @@ Plan1d::Plan1d(std::size_t n, Direction dir, Rigor rigor, bool lanes)
     if (remembered->tier != kTierUnspecified) {
       tier = std::min(static_cast<common::SimdTier>(remembered->tier), active);
     }
-    impl_->build(std::move(remembered->factors), tier, lanes);
+    impl_->build(std::move(remembered->factors), tier);
     return;
   }
   // kEstimate trusts the widest supported tier; measured rigors time every
@@ -365,7 +362,7 @@ Plan1d::Plan1d(std::size_t n, Direction dir, Rigor rigor, bool lanes)
     }
   }
   if (candidates.size() == 1 && tiers.size() == 1) {
-    impl_->build(std::move(candidates[0]), tiers[0], lanes);
+    impl_->build(std::move(candidates[0]), tiers[0]);
     return;
   }
   // Measure each candidate on scratch data and keep the fastest.
@@ -401,7 +398,7 @@ Plan1d::Plan1d(std::size_t n, Direction dir, Rigor rigor, bool lanes)
   // Remember the winner so future plans (and, via wisdom_save, future
   // processes) skip the measurement.
   wisdom_remember(n, dir, candidates[best_index], best_tier);
-  impl_->build(std::move(candidates[best_index]), best_tier, lanes);
+  impl_->build(std::move(candidates[best_index]), best_tier);
 }
 
 Plan1d::~Plan1d() = default;
@@ -430,7 +427,7 @@ void Plan1d::execute_inplace(Complex* data) const {
 
 void Plan1d::execute_columns(Complex* data, std::size_t cols) const {
   const std::size_t n = impl_->n;
-  if (!impl_->lane) {
+  if (impl_->bluestein) {
     // Column by column, gathered outside the scratch arena: Bluestein's run
     // takes a lease of its own.
     std::vector<Complex> column(n);
@@ -445,7 +442,7 @@ void Plan1d::execute_columns(Complex* data, std::size_t cols) const {
   // elements in place (stride `cols`) into the n x kLanes block, which is
   // copied back. The last partial block is gathered next to it with zero
   // lanes.
-  const SmoothPlan<kLanes>& lane = *impl_->lane;
+  const SmoothPlan<kLanes>& lane = impl_->lane;
   const std::size_t full = cols - cols % kLanes;
   const std::size_t tail = cols - full;
   ScratchLease lease(n * kLanes * (tail == 0 ? 1 : 2));

@@ -47,10 +47,7 @@ std::size_t next_smooth(std::size_t n);
 
 class Plan1d {
  public:
-  /// `lanes` also builds the lane kernel execute_columns() runs on; the 2-D
-  /// plans ask for it for their row and column plans.
-  Plan1d(std::size_t n, Direction dir, Rigor rigor = Rigor::kEstimate,
-         bool lanes = false);
+  Plan1d(std::size_t n, Direction dir, Rigor rigor = Rigor::kEstimate);
   ~Plan1d();
 
   Plan1d(const Plan1d&) = delete;
@@ -67,12 +64,12 @@ class Plan1d {
 
   /// Transforms every column of the size() x cols row-major array `data` in
   /// place, bit for bit as execute_inplace on each gathered column would.
-  /// A plan built with lanes runs kLanes adjacent columns per butterfly:
-  /// element (i, lane b) sits at i * kLanes + b of an n x kLanes block, each
-  /// lane follows the one-column operation sequence, and the leaves read
-  /// the columns where they lie, so no transpose or full-size scratch is
-  /// needed. Bluestein plans, and plans built without lanes, go column by
-  /// column.
+  /// A smooth plan runs kLanes adjacent columns per butterfly: element
+  /// (i, lane b) sits at i * kLanes + b of an n x kLanes block, each lane
+  /// follows the one-column operation sequence, and the leaves read the
+  /// columns where they lie, so no transpose or full-size scratch is
+  /// needed. A partial last block runs with zero lanes. Bluestein plans go
+  /// column by column.
   void execute_columns(Complex* data, std::size_t cols) const;
 
   std::size_t size() const;

@@ -1,5 +1,6 @@
 #include "fft/plan2d.hpp"
 
+#include <algorithm>
 #include <vector>
 
 #include "common/error.hpp"
@@ -19,8 +20,8 @@ Plan2d::Plan2d(std::size_t height, std::size_t width, Direction dir,
     : h_(height),
       w_(width),
       dir_(dir),
-      row_(width, dir, rigor, /*lanes=*/true),
-      col_(height, dir, rigor, /*lanes=*/true),
+      row_(width, dir, rigor),
+      col_(height, dir, rigor),
       cod_(&codelets::set_for(common::active_tier())) {
   HS_REQUIRE(height >= 1 && width >= 1, "2-D FFT dimensions must be positive");
 }
@@ -28,23 +29,15 @@ Plan2d::Plan2d(std::size_t height, std::size_t width, Direction dir,
 common::SimdTier Plan2d::transpose_tier() const { return cod_->tier; }
 
 void Plan2d::row_pass(const Complex* in, Complex* out) const {
-  std::size_t r = 0;
-  if (!row_.uses_bluestein()) {
-    // kLanes rows at a time: transpose them into a w x kLanes block (in
-    // cache), transform its columns with the lane kernel, transpose back.
-    std::vector<Complex> block(w_ * kLanes);
-    for (; r + kLanes <= h_; r += kLanes) {
-      cod_->transpose(in + r * w_, block.data(), kLanes, w_);
-      row_.execute_columns(block.data(), kLanes);
-      cod_->transpose(block.data(), out + r * w_, w_, kLanes);
-    }
-  }
-  for (; r < h_; ++r) {
-    if (in == out) {
-      row_.execute_inplace(out + r * w_);
-    } else {
-      row_.execute(in + r * w_, out + r * w_);
-    }
+  // kLanes rows at a time: transpose them into a w x kLanes block (in
+  // cache), transform its columns with the lane kernel, transpose back. The
+  // h mod kLanes leftover rows make one narrower block.
+  std::vector<Complex> block(w_ * kLanes);
+  for (std::size_t r = 0; r < h_; r += kLanes) {
+    const std::size_t rows = std::min(kLanes, h_ - r);
+    cod_->transpose(in + r * w_, block.data(), rows, w_);
+    row_.execute_columns(block.data(), rows);
+    cod_->transpose(block.data(), out + r * w_, w_, rows);
   }
 }
 
@@ -61,7 +54,7 @@ void Plan2d::execute_inplace(Complex* data) const {
 
 PlanR2c2d::PlanR2c2d(std::size_t height, std::size_t width, Rigor rigor)
     : h_(height), w_(width), row_(width, rigor),
-      col_(height, Direction::kForward, rigor, /*lanes=*/true) {
+      col_(height, Direction::kForward, rigor) {
   HS_REQUIRE(height >= 1, "2-D FFT dimensions must be positive");
 }
 
@@ -87,7 +80,7 @@ void PlanR2c2d::execute_inplace_padded(Complex* data) const {
 
 PlanC2r2d::PlanC2r2d(std::size_t height, std::size_t width, Rigor rigor)
     : h_(height), w_(width), row_(width, rigor),
-      col_(height, Direction::kInverse, rigor, /*lanes=*/true) {
+      col_(height, Direction::kInverse, rigor) {
   HS_REQUIRE(height >= 1, "2-D FFT dimensions must be positive");
 }
 

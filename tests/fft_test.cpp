@@ -546,7 +546,7 @@ void expect_lanes_match_per_column(std::size_t n) {
   for (const auto tier : kLaneTiers) {
     const common::ScopedKernelDispatch forced(tier);
     for (const auto dir : {Direction::kForward, Direction::kInverse}) {
-      const Plan1d plan(n, dir, Rigor::kEstimate, /*lanes=*/true);
+      const Plan1d plan(n, dir);
       for (const std::size_t cols : kLaneWidths) {
         const auto data = random_signal(n * cols, 100 * n + cols);
         auto lanes = data;
@@ -580,7 +580,7 @@ TEST(LanePass, WisdomEvenRadixMatchesPerColumnReference) {
   wisdom_remember(240, Direction::kForward, {8, 6, 5});
   wisdom_remember(240, Direction::kInverse, {8, 6, 5});
   {
-    const Plan1d plan(240, Direction::kForward, Rigor::kEstimate, true);
+    const Plan1d plan(240, Direction::kForward);
     EXPECT_EQ(plan.factors(), (std::vector<int>{8, 6, 5}));
   }
   expect_lanes_match_per_column(240);
@@ -589,9 +589,9 @@ TEST(LanePass, WisdomEvenRadixMatchesPerColumnReference) {
 
 TEST(LanePass, Plan2dRowBlocksMatchPerRowReference) {
   // Plan2d takes kLanes rows at a time through a block transpose and the
-  // lane kernel, and the h mod kLanes leftovers row by row; heights 1-17
-  // give every leftover count with zero, one and two full blocks. Width 37
-  // is a Bluestein row plan, which goes row by row.
+  // lane kernel, the h mod kLanes leftovers as one narrower block; heights
+  // 1-17 give every leftover count with zero, one and two full blocks.
+  // Width 37 is a Bluestein row plan, whose block goes column by column.
   for (const auto tier : kLaneTiers) {
     const common::ScopedKernelDispatch forced(tier);
     for (const auto dir : {Direction::kForward, Direction::kInverse}) {
