@@ -1,12 +1,11 @@
 #include "fault/plan.hpp"
 
-#include <unistd.h>
-
 #include <chrono>
 #include <cstdio>
 #include <thread>
 
 #include "common/error.hpp"
+#include "common/file.hpp"
 
 namespace hs::fault {
 
@@ -63,7 +62,7 @@ void apply_corruption(const std::string& path, const Corruption& c) {
   } else {
     ok = std::fclose(file) == 0;
     if (ok && c.at_byte < usize) {
-      ok = ::truncate(path.c_str(), static_cast<off_t>(c.at_byte)) == 0;
+      ok = truncate_file(path, c.at_byte);
     }
   }
   if (!ok) throw IoError("corruption write failed: " + path);

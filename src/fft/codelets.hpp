@@ -10,7 +10,7 @@
 //     conjugate-pair form (FFTW's generic-codelet symmetry, about a quarter
 //     of the dense r x r product's arithmetic); even composite radices,
 //     which only wisdom requests, keep the dense product.
-//   * transpose — the cache-blocked transpose both 2-D column passes run
+//   * transpose — the cache-blocked transpose Plan2d's row blocks run
 //     through.
 //   * r2c_untangle / c2r_retangle — the even/odd packing arithmetic of the
 //     half-spectrum real transforms.

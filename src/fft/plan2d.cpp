@@ -8,13 +8,6 @@
 
 namespace hs::fft {
 
-void transpose(const Complex* in, Complex* out, std::size_t rows,
-               std::size_t cols) {
-  // Free-function form dispatches per call; plans capture their codelet set
-  // once at construction instead.
-  codelets::active_set().transpose(in, out, rows, cols);
-}
-
 Plan2d::Plan2d(std::size_t height, std::size_t width, Direction dir,
                Rigor rigor)
     : h_(height),

@@ -131,9 +131,4 @@ class PlanC2r2d {
   Plan1d col_;
 };
 
-/// Blocked out-of-place transpose: `in` is rows x cols, `out` becomes
-/// cols x rows. Exposed for reuse by kernels and tests.
-void transpose(const Complex* in, Complex* out, std::size_t rows,
-               std::size_t cols);
-
 }  // namespace hs::fft

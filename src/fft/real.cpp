@@ -96,22 +96,6 @@ void PlanC2r1d::execute(const Complex* in, double* out) const {
               2 * h * sizeof(double));
 }
 
-void fft_two_reals(const Plan1d& forward_plan, const double* a,
-                   const double* b, Complex* spec_a, Complex* spec_b) {
-  HS_REQUIRE(forward_plan.direction() == Direction::kForward,
-             "fft_two_reals needs a forward plan");
-  const std::size_t n = forward_plan.size();
-  std::vector<Complex> z(n), zf(n);
-  for (std::size_t j = 0; j < n; ++j) z[j] = Complex(a[j], b[j]);
-  forward_plan.execute(z.data(), zf.data());
-  for (std::size_t k = 0; k < n; ++k) {
-    const Complex zk = zf[k];
-    const Complex zmk = std::conj(zf[(n - k) % n]);
-    spec_a[k] = 0.5 * (zk + zmk);
-    spec_b[k] = Complex(0.0, -0.5) * (zk - zmk);
-  }
-}
-
 void fft_two_reals_2d(const Plan2d& forward_plan, const double* a,
                       const double* b, Complex* spec_a, Complex* spec_b) {
   HS_REQUIRE(forward_plan.direction() == Direction::kForward,

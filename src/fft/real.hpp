@@ -70,12 +70,6 @@ class PlanC2r1d {
   const codelets::Set* cod_;       // retangle codelet, fixed at plan time
 };
 
-/// Transforms two real signals with one complex FFT (two-for-one trick):
-/// forms z = a + i*b, transforms, and untangles the spectra. `spec_a` and
-/// `spec_b` each receive the full n-bin spectrum of their signal.
-void fft_two_reals(const Plan1d& forward_plan, const double* a,
-                   const double* b, Complex* spec_a, Complex* spec_b);
-
 /// 2-D two-for-one: transforms two real height x width signals with one
 /// complex 2-D FFT and untangles the full spectra via the 2-D conjugate
 /// mirror. Used by the NaivePairwise baseline so its per-pair double forward

@@ -39,23 +39,13 @@ class Reader {
       : bytes_(std::move(bytes)), path_(std::move(path)) {}
 
   std::uint16_t u16(std::size_t off) const {
-    const std::uint8_t* b = at(off, 2);
-    return big_endian_ ? static_cast<std::uint16_t>((b[0] << 8) | b[1])
-                       : static_cast<std::uint16_t>(b[0] | (b[1] << 8));
+    const char* p = reinterpret_cast<const char*>(at(off, 2));
+    return big_endian_ ? __builtin_bswap16(get_u16(p)) : get_u16(p);
   }
 
   std::uint32_t u32(std::size_t off) const {
-    const std::uint8_t* b = at(off, 4);
-    if (big_endian_) {
-      return (static_cast<std::uint32_t>(b[0]) << 24) |
-             (static_cast<std::uint32_t>(b[1]) << 16) |
-             (static_cast<std::uint32_t>(b[2]) << 8) |
-             static_cast<std::uint32_t>(b[3]);
-    }
-    return static_cast<std::uint32_t>(b[0]) |
-           (static_cast<std::uint32_t>(b[1]) << 8) |
-           (static_cast<std::uint32_t>(b[2]) << 16) |
-           (static_cast<std::uint32_t>(b[3]) << 24);
+    const char* p = reinterpret_cast<const char*>(at(off, 4));
+    return big_endian_ ? __builtin_bswap32(get_u32(p)) : get_u32(p);
   }
 
   const std::uint8_t* at(std::size_t off, std::size_t len) const {
@@ -240,31 +230,22 @@ namespace {
 
 class Writer {
  public:
-  void u8(std::uint8_t v) { bytes_.push_back(v); }
-  void u16(std::uint16_t v) {
-    bytes_.push_back(static_cast<std::uint8_t>(v & 0xFF));
-    bytes_.push_back(static_cast<std::uint8_t>(v >> 8));
-  }
-  void u32(std::uint32_t v) {
-    for (int i = 0; i < 4; ++i) {
-      bytes_.push_back(static_cast<std::uint8_t>((v >> (8 * i)) & 0xFF));
-    }
-  }
+  void u8(std::uint8_t v) { bytes_.push_back(static_cast<char>(v)); }
+  void u16(std::uint16_t v) { put_u16(bytes_, v); }
+  void u32(std::uint32_t v) { put_u32(bytes_, v); }
   void raw(const void* data, std::size_t len) {
-    const auto* p = static_cast<const std::uint8_t*>(data);
-    bytes_.insert(bytes_.end(), p, p + len);
+    bytes_.append(static_cast<const char*>(data), len);
   }
   void patch_u32(std::size_t off, std::uint32_t v) {
-    for (int i = 0; i < 4; ++i) {
-      bytes_[off + static_cast<std::size_t>(i)] =
-          static_cast<std::uint8_t>((v >> (8 * i)) & 0xFF);
-    }
+    std::string le;
+    put_u32(le, v);
+    bytes_.replace(off, le.size(), le);
   }
   std::size_t size() const { return bytes_.size(); }
-  const std::vector<std::uint8_t>& bytes() const { return bytes_; }
+  const std::string& bytes() const { return bytes_; }
 
  private:
-  std::vector<std::uint8_t> bytes_;
+  std::string bytes_;
 };
 
 struct TagValue {
@@ -343,8 +324,7 @@ void write_tiff_impl(const std::string& path, const std::uint8_t* pixels,
 
   std::ofstream file(path, std::ios::binary | std::ios::trunc);
   if (!file) throw IoError("cannot create TIFF file: " + path);
-  file.write(reinterpret_cast<const char*>(w.bytes().data()),
-             static_cast<std::streamsize>(w.size()));
+  file.write(w.bytes().data(), static_cast<std::streamsize>(w.size()));
   if (!file) throw IoError("short write to TIFF file: " + path);
 }
 

@@ -1,14 +1,9 @@
 #include "serve/journal.hpp"
 
-#include <fcntl.h>
-#include <unistd.h>
-
 #include <algorithm>
 #include <cstdlib>
-#include <cstring>
 #include <filesystem>
 
-#include "common/crc32c.hpp"
 #include "common/error.hpp"
 #include "common/file.hpp"
 #include "metrics/wellknown.hpp"
@@ -21,37 +16,11 @@ namespace {
 
 // "HSJL" read as a little-endian u32; a frame not starting with it is torn.
 constexpr std::uint32_t kMagic = 0x4C4A5348u;
-constexpr std::size_t kFrameHeader = 12;  // magic + length + crc
 // Records larger than this are rejected as corrupt on replay: a garbage
 // length field must not make replay try to allocate gigabytes.
 constexpr std::uint32_t kMaxPayload = 16u << 20;
 
-void put_u32(std::string& out, std::uint32_t v) {
-  char bytes[4];
-  bytes[0] = static_cast<char>(v & 0xFF);
-  bytes[1] = static_cast<char>((v >> 8) & 0xFF);
-  bytes[2] = static_cast<char>((v >> 16) & 0xFF);
-  bytes[3] = static_cast<char>((v >> 24) & 0xFF);
-  out.append(bytes, 4);
-}
-
-std::uint32_t get_u32(const char* p) {
-  const auto* b = reinterpret_cast<const unsigned char*>(p);
-  return static_cast<std::uint32_t>(b[0]) |
-         (static_cast<std::uint32_t>(b[1]) << 8) |
-         (static_cast<std::uint32_t>(b[2]) << 16) |
-         (static_cast<std::uint32_t>(b[3]) << 24);
-}
-
 }  // namespace
-
-bool fsync_path(const std::string& path) {
-  const int fd = ::open(path.c_str(), O_RDONLY);
-  if (fd < 0) return false;
-  const bool ok = ::fsync(fd) == 0;
-  ::close(fd);
-  return ok;
-}
 
 std::string fsync_policy_name(FsyncPolicy policy) {
   switch (policy) {
@@ -115,11 +84,7 @@ Journal::Journal(JournalConfig config) : config_(std::move(config)) {
 
 Journal::~Journal() {
   std::lock_guard<std::mutex> lock(mutex_);
-  if (segment_ != nullptr) {
-    maybe_fsync_locked(/*force=*/config_.fsync != FsyncPolicy::kNever);
-    std::fclose(segment_);
-    segment_ = nullptr;
-  }
+  maybe_fsync_locked(/*force=*/config_.fsync != FsyncPolicy::kNever);
 }
 
 std::string Journal::segment_path(std::uint64_t index) const {
@@ -136,7 +101,7 @@ std::uint64_t Journal::next_job_id() {
 
 std::uint64_t Journal::bytes() const {
   std::lock_guard<std::mutex> lock(mutex_);
-  return older_bytes_ + segment_bytes_;
+  return older_bytes_ + (segment_ ? segment_->size() : 0);
 }
 
 std::uint64_t Journal::append_failures() const {
@@ -199,17 +164,8 @@ void Journal::append_terminal(std::uint64_t id, const std::string& state) {
 }
 
 void Journal::open_segment_locked(std::uint64_t index) {
-  if (segment_ != nullptr) {
-    std::fclose(segment_);
-    segment_ = nullptr;
-  }
-  const std::string path = segment_path(index);
-  segment_ = std::fopen(path.c_str(), "ab");
-  if (segment_ == nullptr) {
-    throw IoError("cannot open journal segment: " + path);
-  }
+  segment_.emplace(segment_path(index), kMagic);
   segment_index_ = index;
-  segment_bytes_ = 0;
   if (std::find(segments_.begin(), segments_.end(), index) ==
       segments_.end()) {
     segments_.push_back(index);
@@ -251,7 +207,7 @@ void Journal::compact() {
   std::lock_guard<std::mutex> lock(mutex_);
   rotate_locked();
   metrics::wellknown::journal_bytes().set(
-      static_cast<std::int64_t>(older_bytes_ + segment_bytes_));
+      static_cast<std::int64_t>(older_bytes_ + segment_->size()));
 }
 
 void Journal::append_locked(RecordType type, std::uint64_t id,
@@ -266,72 +222,50 @@ void Journal::append_locked(RecordType type, std::uint64_t id,
                  static_cast<unsigned long long>(id));
     return;
   }
-  if (segment_ == nullptr) {
+  if (!segment_) {
     open_segment_locked(segment_index_ + 1);
-  } else if (segment_bytes_ >= config_.rotate_bytes && !rotating_) {
+  } else if (segment_->size() >= config_.rotate_bytes && !rotating_) {
     // rotating_ guards the re-emission appends below: a live set larger
     // than rotate_bytes must not recurse into another rotation.
     rotate_locked();
   }
 
-  std::string frame;
-  frame.reserve(kFrameHeader + payload.size());
-  put_u32(frame, kMagic);
-  put_u32(frame, static_cast<std::uint32_t>(payload.size()));
-  put_u32(frame, crc32c(payload));
-  frame += payload;
-
-  const std::uint64_t record_offset = segment_bytes_;
-  const std::size_t written =
-      std::fwrite(frame.data(), 1, frame.size(), segment_);
-  std::fflush(segment_);
-  if (written != frame.size()) {
+  // Deterministic damage for the torture tests: corrupt the record just
+  // written, byte-addressed relative to its frame.
+  FrameLog::Damage damage;
+  if (config_.faults != nullptr) {
+    damage = [this](std::uint64_t offset) {
+      fault::Corruption at;
+      if (!config_.faults->corruption_point(fault::Site::kJournalWrite, &at)) {
+        return;
+      }
+      at.at_byte += offset;
+      try {
+        fault::apply_corruption(segment_->path(), at);
+      } catch (const Error& e) {
+        std::fprintf(stderr, "journal: corruption injection failed: %s\n",
+                     e.what());
+      }
+    };
+  }
+  if (!segment_->append(payload, damage)) {
     ++append_failures_;
     std::fprintf(stderr,
-                 "journal: short append (%s, job %llu); durability degraded\n",
+                 "journal: short append (%s, job %llu); record dropped\n",
                  record_type_name(type).c_str(),
                  static_cast<unsigned long long>(id));
-    segment_bytes_ += written;
     return;
-  }
-  segment_bytes_ += frame.size();
-
-  // Deterministic damage for the torture tests: corrupt the record we just
-  // wrote, byte-addressed relative to its frame.
-  fault::Corruption corruption;
-  if (config_.faults != nullptr &&
-      config_.faults->corruption_point(fault::Site::kJournalWrite,
-                                       &corruption)) {
-    fault::Corruption at = corruption;
-    at.at_byte = record_offset +
-                 std::min<std::uint64_t>(corruption.at_byte, frame.size());
-    try {
-      fault::apply_corruption(segment_path(segment_index_), at);
-      if (at.kind == fault::Corruption::Kind::kTruncate) {
-        segment_bytes_ = at.at_byte;
-        // The FILE* position is now past EOF; reopen in append mode so the
-        // next record lands where the truncation left off.
-        std::fclose(segment_);
-        segment_ = std::fopen(segment_path(segment_index_).c_str(), "ab");
-        if (segment_ == nullptr) {
-          throw IoError("cannot reopen journal segment after truncation");
-        }
-      }
-    } catch (const Error& e) {
-      std::fprintf(stderr, "journal: corruption injection failed: %s\n",
-                   e.what());
-    }
   }
 
   metrics::wellknown::journal_appends_total().add();
   metrics::wellknown::journal_bytes().set(
-      static_cast<std::int64_t>(older_bytes_ + segment_bytes_));
+      static_cast<std::int64_t>(older_bytes_ + segment_->size()));
   trace_event("append:" + record_type_name(type) + ":" + std::to_string(id));
   maybe_fsync_locked(/*force=*/config_.fsync == FsyncPolicy::kEveryRecord);
 }
 
 void Journal::maybe_fsync_locked(bool force) {
-  if (segment_ == nullptr) return;
+  if (!segment_) return;
   const auto now = std::chrono::steady_clock::now();
   if (!force) {
     if (config_.fsync != FsyncPolicy::kInterval) return;
@@ -340,10 +274,7 @@ void Journal::maybe_fsync_locked(bool force) {
       return;
     }
   }
-  std::fflush(segment_);
-  if (::fsync(::fileno(segment_)) == 0) {
-    metrics::wellknown::journal_fsyncs_total().add();
-  }
+  if (segment_->fsync()) metrics::wellknown::journal_fsyncs_total().add();
   last_fsync_ = now;
 }
 
@@ -417,82 +348,53 @@ std::vector<ReplayedJob> Journal::replay(ReplayStats* stats) {
   replayed_ = true;
   ReplayStats local;
   std::uint64_t max_id = 0;
-  std::uint64_t live_bytes = 0;
   std::size_t terminal_seen = 0;
+  older_bytes_ = 0;  // recounted from what replay keeps
 
   for (const std::uint64_t index : segments_) {
     const std::string path = segment_path(index);
-    std::string content;
-    if (!read_file(path, &content)) continue;  // deleted under us
-    std::size_t offset = 0;
-    bool torn = false;
-    while (offset + kFrameHeader <= content.size()) {
-      const std::uint32_t magic = get_u32(content.data() + offset);
-      const std::uint32_t length = get_u32(content.data() + offset + 4);
-      const std::uint32_t crc = get_u32(content.data() + offset + 8);
-      if (magic != kMagic || length > kMaxPayload ||
-          offset + kFrameHeader + length > content.size()) {
-        torn = true;
-        break;
-      }
-      const char* payload_bytes = content.data() + offset + kFrameHeader;
-      if (crc32c(static_cast<const void*>(payload_bytes),
-                 static_cast<std::size_t>(length)) != crc) {
-        torn = true;
-        break;
-      }
-      ParsedRecord record;
-      if (!parse_payload(std::string(payload_bytes, length), &record)) {
-        torn = true;
-        break;
-      }
-      // Frame valid: apply.
-      ++local.records;
-      max_id = std::max(max_id, record.id);
-      if (record.type == "submitted") {
-        live_[record.id] = LiveJob{record.name, record.request_text,
-                                   record.ckpt, record.priority, false};
-        if (!record.ckpt.empty() &&
-            std::find(replayed_checkpoint_paths_.begin(),
-                      replayed_checkpoint_paths_.end(),
-                      record.ckpt) == replayed_checkpoint_paths_.end()) {
-          // Captured here, not at terminal time: a terminal job's .tmp
-          // orphan (crash mid-checkpoint) still needs the startup sweep.
-          replayed_checkpoint_paths_.push_back(record.ckpt);
-        }
-      } else if (record.type == "started") {
-        const auto it = live_.find(record.id);
-        if (it != live_.end()) it->second.started = true;
-      } else if (record.type == "terminal") {
-        if (live_.erase(record.id) != 0) ++terminal_seen;
-      }
-      // checkpoint records only matter as liveness markers; the checkpoint
-      // file itself is the durable artifact.
-      offset += kFrameHeader + length;
-    }
-    // A leftover shorter than a frame header is torn too (counted the same
-    // way): the crash landed mid-header.
-    if (!torn && offset < content.size()) torn = true;
-    if (torn) {
+    const FrameLog::Replay replay = FrameLog::replay(
+        path, kMagic, kMaxPayload, [&](std::string_view payload) {
+          ParsedRecord record;
+          if (!parse_payload(std::string(payload), &record)) return false;
+          ++local.records;
+          max_id = std::max(max_id, record.id);
+          if (record.type == "submitted") {
+            live_[record.id] = LiveJob{record.name, record.request_text,
+                                       record.ckpt, record.priority, false};
+            if (!record.ckpt.empty() &&
+                std::find(replayed_checkpoint_paths_.begin(),
+                          replayed_checkpoint_paths_.end(),
+                          record.ckpt) == replayed_checkpoint_paths_.end()) {
+              // Captured here, not at terminal time: a terminal job's .tmp
+              // orphan (crash mid-checkpoint) still needs the startup sweep.
+              replayed_checkpoint_paths_.push_back(record.ckpt);
+            }
+          } else if (record.type == "started") {
+            const auto it = live_.find(record.id);
+            if (it != live_.end()) it->second.started = true;
+          } else if (record.type == "terminal") {
+            if (live_.erase(record.id) != 0) ++terminal_seen;
+          }
+          // checkpoint records only matter as liveness markers; the
+          // checkpoint file itself is the durable artifact.
+          return true;
+        });
+    // Bytes past the last whole, parseable record — a crash mid-header
+    // included — were cut.
+    if (replay.torn()) {
       ++local.truncated_records;
       metrics::wellknown::journal_truncated_records_total().add();
       std::fprintf(stderr,
                    "journal: torn/corrupt tail in %s at byte %zu of %zu; "
-                   "truncating\n",
-                   path.c_str(), offset, content.size());
+                   "truncated\n",
+                   path.c_str(), replay.valid_bytes, replay.file_bytes);
       trace_event("truncate:" + std::to_string(index) + "@" +
-                  std::to_string(offset));
-      if (::truncate(path.c_str(), static_cast<off_t>(offset)) != 0) {
-        std::fprintf(stderr, "journal: cannot truncate %s\n", path.c_str());
-      }
-      live_bytes += offset;
-    } else {
-      live_bytes += content.size();
+                  std::to_string(replay.valid_bytes));
     }
+    older_bytes_ += replay.valid_bytes;
   }
 
-  older_bytes_ = live_bytes;
-  segment_bytes_ = 0;
   next_id_ = std::max(next_id_, max_id + 1);
   local.live_jobs = live_.size();
   local.terminal_jobs = terminal_seen;

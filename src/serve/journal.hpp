@@ -10,25 +10,28 @@
 // and resubmits every non-terminal job — warm-starting from its last
 // checkpoint, so recovered output is bit-identical to an uninterrupted run.
 //
-// On-disk format: segments named wal-NNNNNN.log holding framed records
+// On-disk format: segments named wal-NNNNNN.log, each a FrameLog
+// (common/file.hpp) of records framed as
 //   [magic u32][payload length u32][crc32c(payload) u32][payload]
 // (all little-endian). A record whose frame fails any check — bad magic,
 // length past EOF, checksum mismatch, unparseable payload — marks the torn
 // tail: replay truncates the segment there and counts the cut in
-// hs_journal_truncated_records_total. Rotation starts a fresh segment once
-// the active one exceeds rotate_bytes, re-emitting only the *live* jobs'
-// records into it and deleting the old segments — compaction of terminal
-// jobs falls out of rotation for free.
+// hs_journal_truncated_records_total. An append the disk cuts short is cut
+// back to its frame's start, so later records never land behind it.
+// Rotation starts a fresh segment once the active one exceeds rotate_bytes,
+// re-emitting only the *live* jobs' records into it and deleting the old
+// segments — compaction of terminal jobs falls out of rotation for free.
 #pragma once
 
 #include <chrono>
 #include <cstdint>
-#include <cstdio>
 #include <map>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <vector>
 
+#include "common/file.hpp"
 #include "fault/plan.hpp"
 #include "trace/trace.hpp"
 
@@ -37,7 +40,7 @@ namespace hs::serve {
 /// When the journal forces its appends to disk. The policy trades restart
 /// completeness against append latency; every policy preserves *integrity*
 /// (a torn tail is detected and cut), only the amount of recent history at
-/// risk differs.
+/// risk differs. It is the only source of segment and directory fsyncs.
 enum class FsyncPolicy {
   kNever,        ///< leave flushing to the OS; crash loses unsynced tail
   kInterval,     ///< fsync at most once per fsync_interval_s (the default)
@@ -82,10 +85,6 @@ struct ReplayedJob {
   /// process died, not merely queued).
   bool started = false;
 };
-
-/// Best-effort fsync of a file or directory by path (opens O_RDONLY).
-/// Returns false on failure — durability plumbing must never kill a job.
-bool fsync_path(const std::string& path);
 
 struct ReplayStats {
   std::size_t records = 0;           ///< valid records replayed
@@ -132,11 +131,10 @@ class Journal {
 
   /// Bytes across this journal's live segment files.
   std::uint64_t bytes() const;
-  /// Appends that failed (injected fault or real I/O error) and were
-  /// dropped with a warning.
+  /// Appends that failed and were dropped with a warning: injected faults,
+  /// and real write errors, short writes included (the torn frame is cut
+  /// back, so the records after it still replay).
   std::uint64_t append_failures() const;
-
-  const std::string& dir() const { return config_.dir; }
 
   /// Every distinct checkpoint path named by a replayed submitted record —
   /// terminal jobs included (their path is captured before the terminal
@@ -168,9 +166,8 @@ class Journal {
   JournalConfig config_;
 
   mutable std::mutex mutex_;
-  std::FILE* segment_ = nullptr;        ///< active segment, append mode
+  std::optional<FrameLog> segment_;     ///< active segment
   std::uint64_t segment_index_ = 0;     ///< index of the active segment
-  std::uint64_t segment_bytes_ = 0;     ///< bytes in the active segment
   std::uint64_t older_bytes_ = 0;       ///< bytes across older segments
   std::vector<std::uint64_t> segments_; ///< existing segment indices, sorted
   std::uint64_t next_id_ = 1;

@@ -941,40 +941,29 @@ std::vector<TenantMetrics> StitchService::tenant_metrics() const {
 
 void StitchService::checkpoint_job(const Record& record) {
   if (record->ledger == nullptr || record->checkpoint_path.empty()) return;
-  const std::string tmp = record->checkpoint_path + ".tmp";
+  fault::FaultPlan* faults = config_.journal.faults != nullptr
+                                 ? config_.journal.faults
+                                 : record->request.options.faults;
+  const auto damage = [faults](const std::string& tmp) {
+    fault::Corruption corruption;
+    if (faults != nullptr &&
+        faults->corruption_point(fault::Site::kCheckpointCorrupt,
+                                 &corruption)) {
+      fault::apply_corruption(tmp, corruption);
+    }
+  };
   try {
-    stitch::write_table_file(tmp, record->ledger->snapshot(),
-                             record->ledger->quarantined());
-    // Durability order: the tmp file's bytes must be on disk before the
-    // rename publishes the path, and the directory entry must be on disk
-    // before the journal's checkpoint record claims the file exists. A
-    // crash between the steps leaves either the old checkpoint or the new
-    // one — never a half-written file under the published name.
-    fsync_path(tmp);
-    fault::FaultPlan* faults = config_.journal.faults != nullptr
-                                   ? config_.journal.faults
-                                   : record->request.options.faults;
-    if (faults != nullptr) {
-      fault::Corruption corruption;
-      if (faults->corruption_point(fault::Site::kCheckpointCorrupt,
-                                   &corruption)) {
-        fault::apply_corruption(tmp, corruption);
-      }
-    }
-    if (std::rename(tmp.c_str(), record->checkpoint_path.c_str()) != 0) {
-      throw IoError("rename to " + record->checkpoint_path + " failed");
-    }
-    std::string dir = ".";
-    const auto slash = record->checkpoint_path.find_last_of('/');
-    if (slash != std::string::npos) {
-      dir = record->checkpoint_path.substr(0, slash + 1);
-    }
-    fsync_path(dir);
+    // publish_file syncs the table before the rename publishes the path,
+    // and the directory after it, so the journal's checkpoint record never
+    // names a file a crash could lose: a crash between the steps leaves the
+    // old checkpoint or the new one, never a half-written one.
+    stitch::write_table_file(record->checkpoint_path,
+                             record->ledger->snapshot(),
+                             record->ledger->quarantined(), damage);
     if (journal_ != nullptr && record->journal_id != 0) {
       journal_->append_checkpoint(record->journal_id);
     }
   } catch (const Error& e) {
-    std::remove(tmp.c_str());
     std::fprintf(stderr, "serve: checkpoint of job %s failed: %s\n",
                  record->name.c_str(), e.what());
   }

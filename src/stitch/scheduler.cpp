@@ -219,6 +219,20 @@ class WorkPool {
   std::vector<std::unique_ptr<Lane>> lanes_;
 };
 
+/// Appends the pairs that visiting `pos` closes, west then north, minus
+/// those a warm start already settled.
+void close_pairs_at(const img::GridLayout& layout, img::TilePos pos,
+                    const WarmFilter& warm, std::vector<PairTask>& pairs) {
+  if (layout.has_west(pos) && !warm.skip_west(pos)) {
+    pairs.push_back(
+        PairTask{img::TilePos{pos.row, pos.col - 1}, pos, /*is_west=*/true});
+  }
+  if (layout.has_north(pos) && !warm.skip_north(pos)) {
+    pairs.push_back(PairTask{img::TilePos{pos.row - 1, pos.col}, pos,
+                             /*is_west=*/false});
+  }
+}
+
 /// All remaining pairs in the traversal's closure order: visiting a tile
 /// closes its west then north pair — the order every sequential backend
 /// has always used, so a single lane replayed by one executor reproduces
@@ -228,13 +242,21 @@ std::vector<PairTask> pairs_in_closure_order(const img::GridLayout& layout,
                                              const WarmFilter& warm) {
   std::vector<PairTask> pairs;
   for (const img::TilePos pos : traversal_order(layout, traversal)) {
-    if (layout.has_west(pos) && !warm.skip_west(pos)) {
-      pairs.push_back(
-          PairTask{img::TilePos{pos.row, pos.col - 1}, pos, /*is_west=*/true});
-    }
-    if (layout.has_north(pos) && !warm.skip_north(pos)) {
-      pairs.push_back(PairTask{img::TilePos{pos.row - 1, pos.col}, pos,
-                               /*is_west=*/false});
+    close_pairs_at(layout, pos, warm, pairs);
+  }
+  return pairs;
+}
+
+/// The remaining pairs whose moved tile lies in rows [row_begin, row_end),
+/// closed row-major. North pairs on row_begin reach into the row above: the
+/// band's halo row.
+std::vector<PairTask> band_pairs(const img::GridLayout& layout,
+                                 std::size_t row_begin, std::size_t row_end,
+                                 const WarmFilter& warm) {
+  std::vector<PairTask> pairs;
+  for (std::size_t r = row_begin; r < row_end; ++r) {
+    for (std::size_t c = 0; c < layout.cols; ++c) {
+      close_pairs_at(layout, img::TilePos{r, c}, warm, pairs);
     }
   }
   return pairs;
@@ -426,12 +448,9 @@ StitchResult run_cpu(const ResourceSet& rs, const TileProvider& provider,
             if (pipeline.cancelled()) return;
             std::this_thread::sleep_for(std::chrono::microseconds(200));
           }
-          if (recorder != nullptr) {
-            auto span = recorder->scoped("cpu.read", "prefetch");
-            cache->prefetch(prefetch_list[i]);
-          } else {
-            cache->prefetch(prefetch_list[i]);
-          }
+          const trace::Recorder::Scoped span(recorder, "cpu.read",
+                                             "prefetch");
+          cache->prefetch(prefetch_list[i]);
         }
       });
     }
@@ -904,19 +923,7 @@ StitchResult run_gpu_async(const ResourceSet& rs, const TileProvider& provider,
     // Warm-settled pairs are excluded at partition time: reference counts,
     // the read plan, and the halo sets all derive from owned_pairs, so a
     // warm start shrinks every downstream structure consistently.
-    for (std::size_t r = row_begin; r < row_end; ++r) {
-      for (std::size_t c = 0; c < layout.cols; ++c) {
-        const img::TilePos pos{r, c};
-        if (layout.has_west(pos) && !warm.skip_west(pos)) {
-          gpu->owned_pairs.push_back(
-              PairTask{img::TilePos{r, c - 1}, pos, /*is_west=*/true});
-        }
-        if (layout.has_north(pos) && !warm.skip_north(pos)) {
-          gpu->owned_pairs.push_back(
-              PairTask{img::TilePos{r - 1, c}, pos, /*is_west=*/false});
-        }
-      }
-    }
+    gpu->owned_pairs = band_pairs(layout, row_begin, row_end, warm);
     if (use_p2p) {
       // A halo transform crosses devices only when the consumer's boundary
       // pair still needs computing.
@@ -992,24 +999,12 @@ StitchResult run_gpu_async(const ResourceSet& rs, const TileProvider& provider,
   // lane closed) up front — they have no device-side dependency chain, so
   // there is nothing to wait for, and a closed lane is raidable down to
   // zero by idle GPUs.
-  std::vector<PairTask> cpu_pairs;
-  for (std::size_t r = bands.back().row_end; r < layout.rows; ++r) {
-    for (std::size_t c = 0; c < layout.cols; ++c) {
-      const img::TilePos pos{r, c};
-      if (layout.has_west(pos) && !warm.skip_west(pos)) {
-        cpu_pairs.push_back(
-            PairTask{img::TilePos{r, c - 1}, pos, /*is_west=*/true});
-      }
-      if (layout.has_north(pos) && !warm.skip_north(pos)) {
-        // North pairs on the band's first row reach into the last GPU
-        // band. The CPU band reads and transforms that halo row itself, so
-        // no cross-executor handoff is needed: the boundary row is
-        // transformed on both sides.
-        cpu_pairs.push_back(
-            PairTask{img::TilePos{r - 1, c}, pos, /*is_west=*/false});
-      }
-    }
-  }
+  // North pairs on the band's first row reach into the last GPU band. The
+  // CPU band reads and transforms that halo row itself, so no
+  // cross-executor handoff is needed: the boundary row is transformed on
+  // both sides.
+  const std::vector<PairTask> cpu_pairs =
+      band_pairs(layout, bands.back().row_end, layout.rows, warm);
   // The band's tiles, halo row included, are read and transformed once
   // each through the same cache MT-CPU uses, counted over exactly the
   // band's pairs (a halo tile counts only its north pair).
@@ -1098,15 +1093,11 @@ StitchResult run_gpu_async(const ResourceSet& rs, const TileProvider& provider,
             TileWork tile_work;
             tile_work.pos = pos;
             if (!gpu->halo_pull.contains(layout.index_of(pos))) {
-              if (options.recorder != nullptr) {
-                auto span = options.recorder->scoped(
-                    "cpu.read" + std::to_string(gpu->id), "read");
-                tile_work.tile =
-                    std::make_shared<const img::ImageU16>(provider.load(pos));
-              } else {
-                tile_work.tile =
-                    std::make_shared<const img::ImageU16>(provider.load(pos));
-              }
+              const trace::Recorder::Scoped span(
+                  options.recorder, "cpu.read" + std::to_string(gpu->id),
+                  "read");
+              tile_work.tile =
+                  std::make_shared<const img::ImageU16>(provider.load(pos));
               counts.bump(counts.tile_reads);
             }
             if (!gpu->q_read.push(std::move(tile_work))) return;
@@ -1425,17 +1416,11 @@ StitchResult run_gpu_async(const ResourceSet& rs, const TileProvider& provider,
           throw_if_cancelled(options);
           counts.bump(counts.ccf_evaluations, 4 * task->peak_indices.size());
           Translation translation;
-          if (options.recorder != nullptr) {
-            auto span = options.recorder->scoped(lane, "ccf");
-            translation =
-                disambiguate_peaks(*task->reference, *task->moved,
-                                   task->peak_indices, fftp.width,
-                                   options.min_overlap_px);
-          } else {
-            translation =
-                disambiguate_peaks(*task->reference, *task->moved,
-                                   task->peak_indices, fftp.width,
-                                   options.min_overlap_px);
+          {
+            const trace::Recorder::Scoped span(options.recorder, lane, "ccf");
+            translation = disambiguate_peaks(*task->reference, *task->moved,
+                                             task->peak_indices, fftp.width,
+                                             options.min_overlap_px);
           }
           record_pair(result.table, options, task->moved_pos, task->is_west,
                       translation);

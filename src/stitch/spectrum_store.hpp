@@ -25,13 +25,14 @@
 #pragma once
 
 #include <cstdint>
-#include <cstdio>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <unordered_map>
 #include <vector>
 
+#include "common/file.hpp"
 #include "fault/plan.hpp"
 #include "metrics/metrics.hpp"
 #include "stitch/shared_cache.hpp"
@@ -60,7 +61,8 @@ class SpectrumStore {
   SpectrumStore(const SpectrumStore&) = delete;
   SpectrumStore& operator=(const SpectrumStore&) = delete;
 
-  /// Persists a spectrum (durable write: tmp + fsync + rename). Idempotent —
+  /// Persists a spectrum through publish_file (tmp + fsync + rename, every
+  /// step checked; a failed put leaves no tmp file). Idempotent —
   /// the store is content-addressed, so re-putting a resident key is a no-op.
   /// Returns false when the write was dropped (injected or real I/O failure);
   /// the caller degrades to memory-only, never fails the job.
@@ -72,8 +74,9 @@ class SpectrumStore {
 
   bool contains(const SpectrumKey& key) const;
 
-  /// Appends a memoized pair displacement to the pair log (flushed, fsynced
-  /// at destruction; a torn tail is truncated on recover).
+  /// Appends a memoized pair displacement to the pair log, a FrameLog
+  /// fsynced at destruction. A short write is cut back and counted in
+  /// write_failures; a torn tail left by a crash is truncated on recover.
   void put_pair(const PairKey& key, const Translation& value);
 
   /// Looks up a recovered or just-put pair displacement; true + *out on hit.
@@ -92,14 +95,7 @@ class SpectrumStore {
   };
   Stats stats() const;
 
-  const std::string& dir() const { return config_.dir; }
-
  private:
-  struct FrameInfo {
-    std::string path;
-    std::uint64_t bin_count = 0;
-  };
-
   void recover();
   void replay_pair_log();
   bool append_pair_locked(const PairKey& key, const Translation& value);
@@ -108,9 +104,10 @@ class SpectrumStore {
 
   Config config_;
   mutable std::mutex mutex_;
-  std::unordered_map<SpectrumKey, FrameInfo, SpectrumKeyHash> index_;
+  /// Frame file of each valid spectrum frame.
+  std::unordered_map<SpectrumKey, std::string, SpectrumKeyHash> index_;
   std::unordered_map<PairKey, Translation, PairKeyHash> pairs_;
-  std::FILE* pair_log_ = nullptr;
+  std::optional<FrameLog> pair_log_;
   Stats stats_;
 
   metrics::Counter& metric_hits_;

@@ -3,7 +3,6 @@
 #include <cinttypes>
 #include <cmath>
 #include <cstdio>
-#include <fstream>
 #include <sstream>
 #include <vector>
 
@@ -43,15 +42,17 @@ std::string render_table(const DisplacementTable& table,
 
 }  // namespace
 
-void write_table_file(const std::string& path, const DisplacementTable& table,
-                      const std::vector<std::size_t>& quarantined) {
-  std::ofstream file(path, std::ios::trunc | std::ios::binary);
-  if (!file) throw IoError("cannot create table file: " + path);
-  const std::string body = render_table(table, quarantined);
+void write_table_file(
+    const std::string& path, const DisplacementTable& table,
+    const std::vector<std::size_t>& quarantined,
+    const std::function<void(const std::string& tmp)>& before_rename) {
+  std::string bytes = render_table(table, quarantined);
   char footer[32];
-  std::snprintf(footer, sizeof footer, "# crc32c,%08x\n", crc32c(body));
-  file << body << footer;
-  if (!file) throw IoError("short write to table file: " + path);
+  std::snprintf(footer, sizeof footer, "# crc32c,%08x\n", crc32c(bytes));
+  bytes += footer;
+  if (!publish_file(path, bytes, before_rename)) {
+    throw IoError("cannot write table file: " + path);
+  }
 }
 
 void write_table_csv(const std::string& path, const DisplacementTable& table) {

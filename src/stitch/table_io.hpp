@@ -17,6 +17,7 @@
 //                                checkpoint and the file is rejected whole
 #pragma once
 
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -24,8 +25,9 @@
 
 namespace hs::stitch {
 
-/// Writes the table with a CRC32C footer; throws IoError on filesystem
-/// failure.
+/// Writes the table with a CRC32C footer through publish_file
+/// (common/file.hpp): `<path>.tmp`, fsync, rename. Throws IoError when any
+/// step fails; `path` then keeps its previous bytes.
 void write_table_csv(const std::string& path, const DisplacementTable& table);
 
 /// Reads a table written by write_table_csv; throws IoError on malformed
@@ -44,9 +46,12 @@ struct TableFileData {
   bool had_crc = false;
 };
 
-/// write_table_csv plus the quarantined-tile sidecar lines.
-void write_table_file(const std::string& path, const DisplacementTable& table,
-                      const std::vector<std::size_t>& quarantined);
+/// write_table_csv plus the quarantined-tile sidecar lines. `before_rename`
+/// is publish_file's hook: checkpoint fault injection damages the tmp file.
+void write_table_file(
+    const std::string& path, const DisplacementTable& table,
+    const std::vector<std::size_t>& quarantined,
+    const std::function<void(const std::string& tmp)>& before_rename = nullptr);
 
 /// read_table_csv plus the sidecar state. Verifies the CRC32C footer when
 /// present; a file without one is accepted (had_crc = false).

@@ -47,16 +47,17 @@ void Recorder::record(std::string lane, std::string name, double t0_us,
       Span{std::move(lane), std::move(name), t0_us, t1_us});
 }
 
-Recorder::Scoped::Scoped(Recorder& recorder, std::string lane,
+Recorder::Scoped::Scoped(Recorder* recorder, std::string lane,
                          std::string name)
     : recorder_(recorder),
       lane_(std::move(lane)),
       name_(std::move(name)),
-      t0_us_(recorder.now_us()) {}
+      t0_us_(recorder != nullptr ? recorder->now_us() : 0.0) {}
 
 Recorder::Scoped::~Scoped() {
-  recorder_.record(std::move(lane_), std::move(name_), t0_us_,
-                   recorder_.now_us());
+  if (recorder_ == nullptr) return;
+  recorder_->record(std::move(lane_), std::move(name_), t0_us_,
+                    recorder_->now_us());
 }
 
 std::vector<Span> Recorder::spans() const {

@@ -51,22 +51,23 @@ class Recorder {
   /// time, and by RAII guards with wall time). No-op when disabled.
   void record(std::string lane, std::string name, double t0_us, double t1_us);
 
-  /// RAII wall-clock span.
+  /// RAII wall-clock span. A null recorder records nothing, so optional
+  /// tracing needs no branch at the call site.
   class Scoped {
    public:
-    Scoped(Recorder& recorder, std::string lane, std::string name);
+    Scoped(Recorder* recorder, std::string lane, std::string name);
     ~Scoped();
     Scoped(const Scoped&) = delete;
     Scoped& operator=(const Scoped&) = delete;
 
    private:
-    Recorder& recorder_;
+    Recorder* recorder_;
     std::string lane_;
     std::string name_;
     double t0_us_;
   };
   Scoped scoped(std::string lane, std::string name) {
-    return Scoped(*this, std::move(lane), std::move(name));
+    return Scoped(this, std::move(lane), std::move(name));
   }
 
   /// Snapshot of all recorded spans (sorted by start time).

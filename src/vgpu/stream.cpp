@@ -25,12 +25,9 @@ void Stream::worker_loop() {
   set_current_thread_name(lane_);
   hs::trace::Recorder* recorder = device_.recorder();
   while (auto command = commands_.pop()) {
-    if (recorder != nullptr && command->traced) {
-      auto span = recorder->scoped(lane_, std::move(command->label));
-      command->work();
-    } else {
-      command->work();
-    }
+    const hs::trace::Recorder::Scoped span(
+        command->traced ? recorder : nullptr, lane_, std::move(command->label));
+    command->work();
   }
 }
 

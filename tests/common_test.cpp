@@ -484,5 +484,79 @@ TEST_F(ReadFileTest, UnsizedFileReadsToEof) {
   EXPECT_EQ(out, expected);
 }
 
+// --- frame codec -----------------------------------------------------------
+
+constexpr std::uint32_t kTestMagic = 0x54534554u;  // "TEST"
+
+TEST(FrameCodec, IntegersAndFramesRoundTrip) {
+  std::string bytes;
+  put_u16(bytes, 0xBEEF);
+  put_u32(bytes, 0xDEADBEEFu);
+  put_u64(bytes, 0x0123456789ABCDEFull);
+  ASSERT_EQ(bytes.size(), 14u);
+  EXPECT_EQ(static_cast<unsigned char>(bytes[0]), 0xEFu);  // little-endian
+  EXPECT_EQ(static_cast<unsigned char>(bytes[13]), 0x01u);
+  EXPECT_EQ(get_u16(bytes.data()), 0xBEEF);
+  EXPECT_EQ(get_u32(bytes.data() + 2), 0xDEADBEEFu);
+  EXPECT_EQ(get_u64(bytes.data() + 6), 0x0123456789ABCDEFull);
+
+  const std::string payload("with\0nul", 8);
+  const std::string frame = encode_frame(kTestMagic, payload);
+  ASSERT_EQ(frame.size(), kFrameHeaderBytes + payload.size());
+  EXPECT_EQ(get_u32(frame.data()), kTestMagic);
+  EXPECT_EQ(get_u32(frame.data() + 4), payload.size());
+  EXPECT_EQ(get_u32(frame.data() + 8), crc32c(payload));
+  EXPECT_EQ(frame.substr(kFrameHeaderBytes), payload);
+
+  const std::string log = frame + encode_frame(kTestMagic, "") + frame;
+  std::vector<std::string> seen;
+  EXPECT_EQ(scan_frames(log, kTestMagic, 64,
+                        [&](std::string_view p) {
+                          seen.emplace_back(p);
+                          return true;
+                        }),
+            log.size());
+  EXPECT_EQ(seen, (std::vector<std::string>{payload, "", payload}));
+}
+
+TEST(FrameCodec, ScanStopsAtTheFirstBadFrame) {
+  const std::string a = encode_frame(kTestMagic, "first");
+  const std::string b = encode_frame(kTestMagic, "second");
+  const std::string c = encode_frame(kTestMagic, "third");
+  // Payloads seen and the valid prefix returned for `bytes`.
+  const auto scan = [](const std::string& bytes, std::uint32_t max_payload) {
+    std::vector<std::string> seen;
+    const std::size_t valid =
+        scan_frames(bytes, kTestMagic, max_payload, [&](std::string_view p) {
+          seen.emplace_back(p);
+          return true;
+        });
+    return std::make_pair(valid, seen);
+  };
+  const std::vector<std::string> only_first{"first"};
+
+  std::string bad_magic = a + b + c;
+  bad_magic[a.size()] ^= 0x01;
+  EXPECT_EQ(scan(bad_magic, 64), std::make_pair(a.size(), only_first));
+
+  // "second" is one byte over a 5-byte bound; "first" fits it exactly.
+  EXPECT_EQ(scan(a + b + c, 5), std::make_pair(a.size(), only_first));
+
+  std::string bad_crc = a + b + c;
+  bad_crc[a.size() + kFrameHeaderBytes + 2] ^= 0x01;  // inside "second"
+  EXPECT_EQ(scan(bad_crc, 64), std::make_pair(a.size(), only_first));
+
+  // A frame running past the end, and a leftover shorter than a header.
+  EXPECT_EQ(scan(a + b.substr(0, b.size() - 1), 64),
+            std::make_pair(a.size(), only_first));
+  EXPECT_EQ(scan(a + b.substr(0, 7), 64),
+            std::make_pair(a.size(), only_first));
+
+  // The callback refusing a frame stops the scan there too.
+  EXPECT_EQ(scan_frames(a + b + c, kTestMagic, 64,
+                        [](std::string_view p) { return p != "second"; }),
+            a.size());
+}
+
 }  // namespace
 }  // namespace hs

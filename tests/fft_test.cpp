@@ -13,6 +13,7 @@
 #include "common/error.hpp"
 #include "common/rng.hpp"
 #include "common/simd.hpp"
+#include "fft/codelets.hpp"
 #include "fft/dft_ref.hpp"
 #include "fft/plan1d.hpp"
 #include "fft/plan2d.hpp"
@@ -274,29 +275,6 @@ TEST(RealFft, OddAndEvenPlansReportPackingChoice) {
   EXPECT_EQ(PlanR2c1d(30).spectrum_size(), 16u);
 }
 
-TEST(RealFft, TwoForOneMatchesSeparateTransforms) {
-  const std::size_t n = 96;
-  Rng rng(33);
-  std::vector<double> a(n), b(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    a[i] = rng.next_double();
-    b[i] = rng.next_double();
-  }
-  Plan1d fwd(n, Direction::kForward);
-  std::vector<Complex> sa(n), sb(n);
-  fft_two_reals(fwd, a.data(), b.data(), sa.data(), sb.data());
-
-  std::vector<Complex> ac(n), bc(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    ac[i] = Complex(a[i], 0.0);
-    bc[i] = Complex(b[i], 0.0);
-  }
-  const auto ra = dft_reference(ac, Direction::kForward);
-  const auto rb = dft_reference(bc, Direction::kForward);
-  EXPECT_LT(max_error(sa, ra), 1e-9);
-  EXPECT_LT(max_error(sb, rb), 1e-9);
-}
-
 // --- 2-D ---------------------------------------------------------------------
 
 struct Shape2d {
@@ -512,8 +490,9 @@ TEST(Transpose, RoundTripIsIdentity) {
   const std::size_t rows = 37, cols = 53;
   const auto x = random_signal(rows * cols, 31);
   std::vector<Complex> t(rows * cols), back(rows * cols);
-  transpose(x.data(), t.data(), rows, cols);
-  transpose(t.data(), back.data(), cols, rows);
+  const codelets::Set& cod = codelets::active_set();
+  cod.transpose(x.data(), t.data(), rows, cols);
+  cod.transpose(t.data(), back.data(), cols, rows);
   EXPECT_LT(max_error(back, x), 0.0 + 1e-15);
   // Spot-check the actual transposition.
   EXPECT_EQ(t[5 * rows + 7], x[7 * cols + 5]);

@@ -5,11 +5,13 @@
 // frame boundary (and inside frames) and proves recovery resubmits exactly
 // the accepted-but-unfinished jobs with bit-identical results.
 #include <gtest/gtest.h>
+#include <sys/resource.h>
 #include <unistd.h>
 
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <csignal>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
@@ -52,6 +54,31 @@ void write_bytes(const std::string& path, const std::string& bytes) {
   file.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
   ASSERT_TRUE(file.good()) << path;
 }
+
+/// Lowers this process's soft RLIMIT_FSIZE to `bytes`, with SIGXFSZ
+/// ignored, so a write reaching the limit comes back short (and the next
+/// fails with EFBIG) instead of killing the test. Restores both on scope
+/// exit. Acts on the test process only.
+class FileSizeLimit {
+ public:
+  explicit FileSizeLimit(std::uint64_t bytes)
+      : old_handler_(std::signal(SIGXFSZ, SIG_IGN)) {
+    EXPECT_EQ(::getrlimit(RLIMIT_FSIZE, &old_), 0);
+    rlimit lowered = old_;
+    lowered.rlim_cur = std::min<rlim_t>(bytes, old_.rlim_max);
+    EXPECT_EQ(::setrlimit(RLIMIT_FSIZE, &lowered), 0);
+  }
+  ~FileSizeLimit() {
+    ::setrlimit(RLIMIT_FSIZE, &old_);
+    std::signal(SIGXFSZ, old_handler_);
+  }
+  FileSizeLimit(const FileSizeLimit&) = delete;
+  FileSizeLimit& operator=(const FileSizeLimit&) = delete;
+
+ private:
+  rlimit old_{};
+  void (*old_handler_)(int);
+};
 
 /// Journal segments in `dir`, sorted by index.
 std::vector<std::string> wal_segments(const std::string& dir) {
@@ -419,6 +446,41 @@ TEST_F(JournalTest, InjectedCorruptionIsDetectedOnReplay) {
   EXPECT_EQ(stats.truncated_records, 1u);
 }
 
+TEST_F(JournalTest, ShortAppendIsCutBackAndLaterRecordsReplay) {
+  {
+    serve::Journal journal(journal_config());
+    journal.replay();
+    for (std::uint64_t id = 1; id <= 3; ++id) {
+      journal.append_submitted(id, "job" + std::to_string(id), "k=v\n", "", 0);
+    }
+    const std::vector<std::string> segments = wal_segments(dir_ + "/wal");
+    ASSERT_EQ(segments.size(), 1u);
+    {
+      // Room for five bytes of job 4's frame: the disk cuts it short.
+      const FileSizeLimit limit(fs::file_size(segments[0]) + 5);
+      journal.append_submitted(4, "job4", "k=v\n", "", 0);
+    }
+    journal.append_submitted(5, "job5", "k=v\n", "", 0);
+    journal.append_submitted(6, "job6", "k=v\n", "", 0);
+    EXPECT_EQ(journal.append_failures(), 1u);
+    std::uint64_t on_disk = 0;
+    for (const std::string& segment : wal_segments(dir_ + "/wal")) {
+      on_disk += fs::file_size(segment);
+    }
+    EXPECT_EQ(journal.bytes(), on_disk);
+    // Five whole frames and no torn bytes between them.
+    EXPECT_EQ(parse_frames(read_bytes(segments[0])).size(), 5u);
+  }
+  serve::Journal journal(journal_config());
+  serve::ReplayStats stats;
+  std::vector<std::uint64_t> ids;
+  for (const serve::ReplayedJob& job : journal.replay(&stats)) {
+    ids.push_back(job.id);
+  }
+  EXPECT_EQ(ids, (std::vector<std::uint64_t>{1, 2, 3, 5, 6}));
+  EXPECT_EQ(stats.truncated_records, 0u);
+}
+
 // ---------------------------------------------------------------------------
 // Request serde
 // ---------------------------------------------------------------------------
@@ -588,6 +650,21 @@ TEST_F(TableIoTest, CorruptionPastEofIsANoop) {
   flip.at_byte = 0;  // in range: flips 'h' (0x68) to 'i' (0x69)
   fault::apply_corruption(path, flip);
   EXPECT_EQ(read_bytes(path), "iello");
+}
+
+TEST_F(TableIoTest, FailedRewriteKeepsThePreviousTable) {
+  const std::string path = dir_ + "/table.csv";
+  stitch::write_table_file(path, make_table(2, 3), {});
+  const std::string before = read_bytes(path);
+  {
+    // The 6x6 rewrite is larger than the 2x3 table it replaces; the limit
+    // stops it a few bytes past the old size.
+    const FileSizeLimit limit(before.size() + 5);
+    EXPECT_THROW(stitch::write_table_file(path, make_table(6, 6), {}),
+                 IoError);
+  }
+  EXPECT_EQ(read_bytes(path), before);
+  EXPECT_FALSE(fs::exists(path + ".tmp"));
 }
 
 // ---------------------------------------------------------------------------
@@ -1122,6 +1199,63 @@ TEST_F(SpillRecoveryTest, StartupGcSweepsTmpFilesAndGarbageFrames) {
   EXPECT_FALSE(fs::exists(spill + "/sp-0000000000000001-8x6-c0.spec.tmp"));
   EXPECT_FALSE(fs::exists(spill + "/garbage.spec"));
   EXPECT_TRUE(fs::exists(spill + "/unrelated.txt"));  // never touched
+}
+
+TEST_F(SpillRecoveryTest, ShortPairAppendIsCutBackAndLaterPairsReplay) {
+  const std::string spill = dir_ + "/spill";
+  const std::string log = spill + "/pairs.log";
+  std::vector<stitch::PairKey> keys(3);
+  for (std::size_t i = 0; i < keys.size(); ++i) {
+    keys[i].digest_reference = 10 + i;
+    keys[i].digest_moved = 20 + i;
+    keys[i].height = 8;
+    keys[i].width = 6;
+  }
+  const auto value = [](std::size_t i) {
+    return stitch::Translation{static_cast<std::int64_t>(i), -1, 0.5};
+  };
+  {
+    stitch::SpectrumStore store({spill, nullptr});
+    store.put_pair(keys[0], value(0));
+    {
+      // Room for five bytes of the second record: the disk cuts it short.
+      const FileSizeLimit limit(fs::file_size(log) + 5);
+      store.put_pair(keys[1], value(1));
+    }
+    store.put_pair(keys[2], value(2));
+    EXPECT_EQ(store.stats().write_failures, 1u);
+    EXPECT_EQ(fs::file_size(log), 2u * 76u);  // two whole 76-byte records
+  }
+  stitch::SpectrumStore reopened({spill, nullptr});
+  EXPECT_EQ(reopened.stats().pairs, 2u);
+  EXPECT_EQ(reopened.stats().corrupt_frames, 0u);
+  stitch::Translation out;
+  EXPECT_TRUE(reopened.load_pair(keys[0], &out));
+  EXPECT_FALSE(reopened.load_pair(keys[1], &out));
+  ASSERT_TRUE(reopened.load_pair(keys[2], &out));
+  EXPECT_EQ(out.x, 2);
+}
+
+TEST_F(SpillRecoveryTest, FailedSpectrumPutLeavesNoTmpFile) {
+  const std::string spill = dir_ + "/spill";
+  stitch::SpectrumKey key;
+  key.digest = 0x42;
+  key.height = 16;
+  key.width = 16;
+  const std::vector<fft::Complex> bins(256, fft::Complex(1.0, -1.0));
+  stitch::SpectrumStore store({spill, nullptr});
+  {
+    const FileSizeLimit limit(1000);  // the frame is over 4 KiB
+    EXPECT_FALSE(store.put(key, bins));
+  }
+  EXPECT_EQ(store.stats().write_failures, 1u);
+  EXPECT_FALSE(store.contains(key));
+  for (const fs::directory_entry& entry : fs::directory_iterator(spill)) {
+    EXPECT_NE(entry.path().extension(), ".tmp") << entry.path();
+  }
+  EXPECT_TRUE(spill_frames(spill).empty());
+  EXPECT_TRUE(store.put(key, bins));  // with room again the put lands
+  EXPECT_EQ(spill_frames(spill).size(), 1u);
 }
 
 TEST_F(ServiceRecoveryTest, OrphanedCheckpointTmpIsSweptAtStartup) {
