@@ -163,6 +163,16 @@ for preset in "${presets[@]}"; do
       >/dev/null
     python3 scripts/perf_gate.py BENCH_kernels.json \
       build/bench/BENCH_kernels.json
+    # perfbench smoke: build the end-to-end benchmark's driver from source
+    # (its own CMake build of src/) and run every workload briefly. A
+    # library change that breaks the driver's build, an abort, or a failed
+    # output check exits non-zero here, before the benchmark itself runs.
+    # Five seconds is long enough for serve-window's 100-job minimum.
+    echo "==> [release] perfbench smoke (plate-disk, plate-hybrid, serve-window)"
+    for workload in plate-disk plate-hybrid serve-window; do
+      python3 perfbench/run.py --workload "${workload}" --seed 1 \
+        --seconds 5 --trace 0 >/dev/null
+    done
   fi
 done
 

@@ -160,6 +160,7 @@ MosaicStats compose_mosaic_to_pgm(const stitch::TileProvider& provider,
                  static_cast<std::streamsize>(row_bytes.size()));
     }
   });
+  file.close();  // flushes: a short final write fails here
   if (!file) throw IoError("short write to PGM file: " + path);
   return MosaicStats{composer.height(), composer.width(),
                      provider.layout().tile_count()};

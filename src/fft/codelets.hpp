@@ -10,8 +10,8 @@
 //     conjugate-pair form (FFTW's generic-codelet symmetry, about a quarter
 //     of the dense r x r product's arithmetic); even composite radices,
 //     which only wisdom requests, keep the dense product.
-//   * transpose — the cache-blocked transpose Plan2d's row blocks run
-//     through.
+//   * transpose — the cache-blocked transpose every 2-D plan's row blocks
+//     run through.
 //   * r2c_untangle / c2r_retangle — the even/odd packing arithmetic of the
 //     half-spectrum real transforms.
 //

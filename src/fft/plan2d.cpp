@@ -52,23 +52,17 @@ PlanR2c2d::PlanR2c2d(std::size_t height, std::size_t width, Rigor rigor)
 }
 
 void PlanR2c2d::execute(const double* in, Complex* out) const {
-  const std::size_t sw = spectrum_width();
+  double* reals = reinterpret_cast<double*>(out);
   for (std::size_t r = 0; r < h_; ++r) {
-    row_.execute(in + r * w_, out + r * sw);
+    std::copy_n(in + r * w_, w_, reals + r * 2 * spectrum_width());
   }
-  // Full complex FFT down each of the sw retained columns.
-  col_.execute_columns(out, sw);
+  execute_inplace_padded(out);
 }
 
 void PlanR2c2d::execute_inplace_padded(Complex* data) const {
-  const std::size_t sw = spectrum_width();
-  // Row r's reals start at double offset r*2*sw — the same memory its half
-  // spectrum occupies, so each row transform is an exact-overlap execute.
-  const double* reals = reinterpret_cast<const double*>(data);
-  for (std::size_t r = 0; r < h_; ++r) {
-    row_.execute(reals + r * 2 * sw, data + r * sw);
-  }
-  col_.execute_columns(data, sw);
+  row_.execute_rows(data, h_);
+  // Full complex FFT down each of the sw retained columns.
+  col_.execute_columns(data, spectrum_width());
 }
 
 PlanC2r2d::PlanC2r2d(std::size_t height, std::size_t width, Rigor rigor)
@@ -78,24 +72,16 @@ PlanC2r2d::PlanC2r2d(std::size_t height, std::size_t width, Rigor rigor)
 }
 
 void PlanC2r2d::execute(const Complex* in, double* out) const {
-  const std::size_t sw = spectrum_width();
-  // Inverse column pass first (undoing the forward order) on a copy of
-  // `in`, since it runs in place; then row c2r.
-  std::vector<Complex> cols(in, in + h_ * sw);
-  col_.execute_columns(cols.data(), sw);
-  for (std::size_t r = 0; r < h_; ++r) {
-    row_.execute(cols.data() + r * sw, out + r * w_);
-  }
+  std::vector<Complex> data(in, in + spectrum_count());
+  execute_inplace_half(data.data());
+  std::copy_n(reinterpret_cast<const double*>(data.data()), h_ * w_, out);
 }
 
 void PlanC2r2d::execute_inplace_half(Complex* data) const {
-  const std::size_t sw = spectrum_width();
-  col_.execute_columns(data, sw);
-  // Row c2r in row order into packed doubles at the front of the buffer.
-  double* reals = reinterpret_cast<double*>(data);
-  for (std::size_t r = 0; r < h_; ++r) {
-    row_.execute(data + r * sw, reals + r * w_);
-  }
+  // Inverse column pass first (undoing the forward order), then the rows
+  // into packed doubles at the front of the buffer.
+  col_.execute_columns(data, spectrum_width());
+  row_.execute_rows(data, reinterpret_cast<double*>(data), h_);
 }
 
 }  // namespace hs::fft

@@ -6,10 +6,13 @@
 // plan pairs a row pass with a column pass that its column Plan1d runs in
 // place through the lane kernel (Plan1d::execute_columns: kLanes adjacent
 // columns per butterfly, read where they lie, no transposes and no
-// full-size scratch); the c2r plan runs its columns first. The complex
-// plan's row pass takes kLanes rows at a time through an in-cache block
-// transpose and the same lane kernel; the r2c and c2r row passes go row by
-// row, because their untangle steps read mirror bins.
+// full-size scratch); the c2r plan runs its columns first. Every row pass
+// also takes kLanes rows at a time through the lane kernel: the complex
+// plan's through an in-cache block transpose, the r2c and c2r plans'
+// through their 1-D plans' row body (PlanR2c1d/PlanC2r1d::execute_rows),
+// which gathers the rows' packed half-length signals into a block and
+// untangles (or retangles) each row on its own, since those steps read
+// mirror bins.
 #pragma once
 
 #include <cstddef>
@@ -72,15 +75,18 @@ class PlanR2c2d {
   PlanR2c2d(std::size_t height, std::size_t width,
             Rigor rigor = Rigor::kEstimate);
 
+  /// Out of place: a copy of `in` into the padded layout in `out`, then
+  /// the in-place body.
   void execute(const double* in, Complex* out) const;
 
   /// In-place padded layout for device buffers of spectrum_count() complex
   /// values: on entry, row r's width() real samples live at double offset
   /// r * 2 * spectrum_width() (i.e. each real row is stored at the start of
   /// its own spectrum row, FFTW style); on exit the buffer holds the
-  /// height() x spectrum_width() half spectrum. Safe because each row's
-  /// output occupies exactly its own input region and PlanR2c1d buffers its
-  /// input before writing; the column pass then runs in place.
+  /// height() x spectrum_width() half spectrum. Safe because each block of
+  /// kLanes rows reads all of its rows before it writes its bins, which
+  /// occupy exactly its own input region; the column pass then runs in
+  /// place.
   void execute_inplace_padded(Complex* data) const;
 
   std::size_t height() const { return h_; }
@@ -91,6 +97,9 @@ class PlanR2c2d {
   /// Butterfly codelet tier of the embedded column 1-D plan (the row r2c
   /// plans resolve identically under the same dispatch).
   common::SimdTier fft_tier() const { return col_.simd_tier(); }
+
+  /// The tier of the transpose codelet the row blocks run (the row plan's).
+  common::SimdTier transpose_tier() const { return row_.codelet_tier(); }
 
  private:
   std::size_t h_;
@@ -105,14 +114,16 @@ class PlanC2r2d {
   PlanC2r2d(std::size_t height, std::size_t width,
             Rigor rigor = Rigor::kEstimate);
 
+  /// Out of place: a copy of `in` into the in-place layout, the in-place
+  /// body, then a copy of the packed doubles to `out`.
   void execute(const Complex* in, double* out) const;
 
   /// In-place for device buffers: `data` holds the height() x
   /// spectrum_width() half spectrum; on exit the same buffer holds
   /// height()*width() packed doubles (the real inverse image). The column
-  /// pass runs in place first; then row r's c2r writes doubles
-  /// [r*w, (r+1)*w), which end before row r+1's input at (r+1)*2*sw, and
-  /// PlanC2r1d retangles its row into its own buffer before it writes.
+  /// pass runs in place first; then each block of kLanes rows [r, r+k)
+  /// reads all of its bins before it writes doubles [r*w, (r+k)*w), which
+  /// end before the next block's bins start at (r+k)*2*sw.
   void execute_inplace_half(Complex* data) const;
 
   std::size_t height() const { return h_; }
@@ -123,6 +134,9 @@ class PlanC2r2d {
   /// Butterfly codelet tier of the embedded column 1-D plan (the row c2r
   /// plans resolve identically under the same dispatch).
   common::SimdTier fft_tier() const { return col_.simd_tier(); }
+
+  /// The tier of the transpose codelet the row blocks run (the row plan's).
+  common::SimdTier transpose_tier() const { return row_.codelet_tier(); }
 
  private:
   std::size_t h_;

@@ -4,7 +4,6 @@
 #include <map>
 #include <mutex>
 #include <tuple>
-#include <type_traits>
 
 #include "common/simd.hpp"
 #include "metrics/wellknown.hpp"
@@ -38,8 +37,7 @@ metrics::Counter& tier_hits(common::SimdTier tier) {
 // Keeps the hs_kernel_dispatch info gauges of the transpose and fft
 // families current. Each family keeps one last-tier state, shared by every
 // plan kind, and its gauge is written only when the tier actually changes.
-// Only Plan2d runs a transpose (its row blocks), so only it notes that
-// family.
+// Every plan kind's row blocks run a transpose.
 template <typename Plan>
 void note_dispatch(const Plan& plan) {
   static std::atomic<int> last_transpose{-1};
@@ -51,9 +49,7 @@ void note_dispatch(const Plan& plan) {
       metrics::wellknown::note_kernel_dispatch(family, tier);
     }
   };
-  if constexpr (std::is_same_v<Plan, Plan2d>) {
-    note("transpose", last_transpose, plan.transpose_tier());
-  }
+  note("transpose", last_transpose, plan.transpose_tier());
   note("fft", last_fft, plan.fft_tier());
 }
 

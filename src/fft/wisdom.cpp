@@ -92,6 +92,7 @@ void wisdom_save(const std::string& path) {
     for (const int f : entry.factors) file << " " << f;
     file << "\n";
   }
+  file.close();  // flushes: a short final write fails here
   if (!file) throw IoError("short write to wisdom file: " + path);
 }
 

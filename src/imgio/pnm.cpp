@@ -66,6 +66,7 @@ void write_pgm_u16(const std::string& path, const ImageU16& image) {
     file.write(reinterpret_cast<const char*>(row.data()),
                static_cast<std::streamsize>(row.size()));
   }
+  file.close();  // flushes: a short final write fails here
   if (!file) throw IoError("short write to PGM file: " + path);
 }
 
@@ -75,6 +76,7 @@ void write_pgm_u8(const std::string& path, const ImageU8& image) {
   write_header(file, "P5", image.width(), image.height(), 255);
   file.write(reinterpret_cast<const char*>(image.data()),
              static_cast<std::streamsize>(image.pixel_count()));
+  file.close();  // flushes: a short final write fails here
   if (!file) throw IoError("short write to PGM file: " + path);
 }
 
@@ -123,6 +125,7 @@ void write_ppm(const std::string& path, const RgbImage& image) {
   write_header(file, "P6", image.width, image.height, 255);
   file.write(reinterpret_cast<const char*>(image.pixels.data()),
              static_cast<std::streamsize>(image.pixels.size()));
+  file.close();  // flushes: a short final write fails here
   if (!file) throw IoError("short write to PPM file: " + path);
 }
 

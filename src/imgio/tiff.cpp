@@ -325,6 +325,7 @@ void write_tiff_impl(const std::string& path, const std::uint8_t* pixels,
   std::ofstream file(path, std::ios::binary | std::ios::trunc);
   if (!file) throw IoError("cannot create TIFF file: " + path);
   file.write(w.bytes().data(), static_cast<std::streamsize>(w.size()));
+  file.close();  // flushes: a short final write fails here
   if (!file) throw IoError("short write to TIFF file: " + path);
 }
 

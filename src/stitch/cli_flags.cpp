@@ -262,6 +262,7 @@ bool write_metrics_if_requested(const CliParser& cli) {
   if (!file) throw IoError("cannot create metrics file: " + path);
   file << (json ? metrics::Registry::global().render_json()
                 : metrics::Registry::global().render_text());
+  file.close();  // flushes: a short final write fails here
   if (!file) throw IoError("short write to metrics file: " + path);
   return true;
 }

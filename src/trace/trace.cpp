@@ -201,6 +201,7 @@ void Recorder::write_chrome_json(const std::string& path) const {
     file << buf;
   }
   file << "\n]}\n";
+  file.close();  // flushes: a short final write fails here
   if (!file) throw IoError("short write to trace file: " + path);
 }
 

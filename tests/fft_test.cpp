@@ -600,6 +600,162 @@ TEST(LanePass, Plan2dRowBlocksMatchPerRowReference) {
   }
 }
 
+// The r2c and c2r row bodies run kLanes rows per block through the inner
+// plan's lane kernel. Their reference is built from parts, one row at a
+// time: the inner Plan1d::execute, then the scalar untangle (or retangle)
+// codelet and the Nyquist bin; odd widths widen the row and run a full
+// complex Plan1d. Width 12 is even, 29 odd and smooth, 37 odd and
+// Bluestein, 74 even with a Bluestein half length.
+const std::size_t kRealRowWidths[] = {12, 29, 37, 74};
+
+std::vector<Complex> half_twiddles(std::size_t n) {
+  std::vector<Complex> tw(n / 2 + 1);
+  const double theta = -2.0 * std::numbers::pi / static_cast<double>(n);
+  for (std::size_t k = 0; k < tw.size(); ++k) {
+    tw[k] = Complex(std::cos(theta * static_cast<double>(k)),
+                    std::sin(theta * static_cast<double>(k)));
+  }
+  return tw;
+}
+
+struct RealRowReference {
+  std::size_t n;
+  Plan1d inner;  // length n/2 (even n) or n (odd n)
+  std::vector<Complex> tw;
+
+  RealRowReference(std::size_t width, Direction dir)
+      : n(width), inner(width % 2 == 0 ? width / 2 : width, dir),
+        tw(half_twiddles(width)) {}
+
+  // n reals -> n/2+1 bins.
+  void r2c(const double* x, Complex* out) const {
+    const std::size_t len = inner.size();
+    std::vector<Complex> z(len), zf(len);
+    if (n % 2 == 0) {
+      for (std::size_t i = 0; i < len; ++i) {
+        z[i] = Complex(x[2 * i], x[2 * i + 1]);
+      }
+      inner.execute(z.data(), zf.data());
+      codelets::scalar_set().r2c_untangle(zf.data(), tw.data(), out, len);
+      out[len] = Complex(zf[0].real() - zf[0].imag(), 0.0);
+    } else {
+      for (std::size_t i = 0; i < n; ++i) z[i] = Complex(x[i], 0.0);
+      inner.execute(z.data(), zf.data());
+      std::copy_n(zf.begin(), n / 2 + 1, out);
+    }
+  }
+
+  // n/2+1 bins -> n reals.
+  void c2r(const Complex* in, double* out) const {
+    const std::size_t len = inner.size();
+    std::vector<Complex> z(len), zt(len);
+    if (n % 2 == 0) {
+      codelets::scalar_set().c2r_retangle(in, tw.data(), z.data(), len);
+      inner.execute(z.data(), zt.data());
+      for (std::size_t i = 0; i < len; ++i) {
+        out[2 * i] = zt[i].real();
+        out[2 * i + 1] = zt[i].imag();
+      }
+    } else {
+      for (std::size_t k = 0; k < n; ++k) {
+        z[k] = k <= n / 2 ? in[k] : std::conj(in[n - k]);
+      }
+      inner.execute(z.data(), zt.data());
+      for (std::size_t j = 0; j < n; ++j) out[j] = zt[j].real();
+    }
+  }
+};
+
+bool same_doubles(const std::vector<double>& a, const double* b) {
+  return std::memcmp(a.data(), b, a.size() * sizeof(double)) == 0;
+}
+
+TEST(LanePass, R2cRowBlocksMatchPerRowReference) {
+  // Heights 1-17 give every h mod kLanes leftover block with zero, one and
+  // two full blocks before it.
+  for (const auto tier : kLaneTiers) {
+    const common::ScopedKernelDispatch forced(tier);
+    for (const std::size_t w : kRealRowWidths) {
+      const RealRowReference row(w, Direction::kForward);
+      const std::size_t sw = w / 2 + 1;
+      const std::string at = std::to_string(w) + " " +
+                             common::dispatch_name(tier);
+      {
+        // The 1-D plan is a block of one row.
+        Rng rng(w);
+        std::vector<double> x(w);
+        for (auto& v : x) v = rng.next_double() - 0.5;
+        std::vector<Complex> expect(sw), got(sw);
+        row.r2c(x.data(), expect.data());
+        PlanR2c1d(w).execute(x.data(), got.data());
+        EXPECT_TRUE(same_bytes(got, expect)) << at << " 1-D";
+      }
+      for (std::size_t h = 1; h <= 17; ++h) {
+        Rng rng(1000 * h + w);
+        std::vector<double> x(h * w);
+        for (auto& v : x) v = rng.next_double() - 0.5;
+        std::vector<Complex> expect(h * sw);
+        for (std::size_t r = 0; r < h; ++r) {
+          row.r2c(x.data() + r * w, expect.data() + r * sw);
+        }
+        per_column_reference(Plan1d(h, Direction::kForward), expect.data(),
+                             sw);
+        const PlanR2c2d plan(h, w);
+        std::vector<Complex> out(h * sw);
+        plan.execute(x.data(), out.data());
+        std::vector<Complex> inplace(h * sw);
+        for (std::size_t r = 0; r < h; ++r) {
+          std::copy_n(x.data() + r * w, w,
+                      reinterpret_cast<double*>(inplace.data() + r * sw));
+        }
+        plan.execute_inplace_padded(inplace.data());
+        const std::string where = std::to_string(h) + "x" + at;
+        EXPECT_TRUE(same_bytes(inplace, expect)) << where << " in place";
+        EXPECT_TRUE(same_bytes(out, expect)) << where << " out of place";
+      }
+    }
+  }
+}
+
+TEST(LanePass, C2rRowBlocksMatchPerRowReference) {
+  for (const auto tier : kLaneTiers) {
+    const common::ScopedKernelDispatch forced(tier);
+    for (const std::size_t w : kRealRowWidths) {
+      const RealRowReference row(w, Direction::kInverse);
+      const std::size_t sw = w / 2 + 1;
+      const std::string at = std::to_string(w) + " " +
+                             common::dispatch_name(tier);
+      {
+        const auto spec = random_signal(sw, w);
+        std::vector<double> expect(w), got(w);
+        row.c2r(spec.data(), expect.data());
+        PlanC2r1d(w).execute(spec.data(), got.data());
+        EXPECT_TRUE(same_doubles(expect, got.data())) << at << " 1-D";
+      }
+      for (std::size_t h = 1; h <= 17; ++h) {
+        const auto spec = random_signal(h * sw, 1000 * h + w);
+        auto cols = spec;
+        per_column_reference(Plan1d(h, Direction::kInverse), cols.data(), sw);
+        std::vector<double> expect(h * w);
+        for (std::size_t r = 0; r < h; ++r) {
+          row.c2r(cols.data() + r * sw, expect.data() + r * w);
+        }
+        const PlanC2r2d plan(h, w);
+        std::vector<double> out(h * w);
+        plan.execute(spec.data(), out.data());
+        auto inplace = spec;
+        plan.execute_inplace_half(inplace.data());
+        const std::string where = std::to_string(h) + "x" + at;
+        EXPECT_TRUE(same_doubles(expect,
+                                 reinterpret_cast<double*>(inplace.data())))
+            << where << " in place";
+        EXPECT_TRUE(same_doubles(expect, out.data()))
+            << where << " out of place";
+      }
+    }
+  }
+}
+
 // --- plan cache --------------------------------------------------------------
 
 TEST(PlanCache, ReturnsSameInstanceForSameKey) {

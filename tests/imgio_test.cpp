@@ -7,11 +7,13 @@
 #include <filesystem>
 #include <fstream>
 
+#include "common/error.hpp"
 #include "common/rng.hpp"
 #include "imgio/grid.hpp"
 #include "imgio/image.hpp"
 #include "imgio/pnm.hpp"
 #include "imgio/tiff.hpp"
+#include "file_size_limit.hpp"
 
 namespace hs::img {
 namespace {
@@ -314,6 +316,15 @@ TEST(Tiff, StripBytesPastImageAreIgnored) {
   EXPECT_EQ(loaded.at(1, 1), 40 * 257);
 }
 
+TEST(Tiff, ShortFinalWriteThrows) {
+  // The whole file fits in the stream's buffer, so the short write happens
+  // in the final flush.
+  TempDir dir;
+  const ImageU16 image = random_image(8, 8, 5);
+  const hs::testing::FileSizeLimit limit(100);
+  EXPECT_THROW(write_tiff_u16(dir.str("t.tif"), image), IoError);
+}
+
 TEST(Tiff, RejectsMissingFile) {
   EXPECT_THROW(read_tiff_u16("/nonexistent/path/x.tif"), IoError);
 }
@@ -464,6 +475,13 @@ TEST(Pgm, RoundTrips16Bit) {
   for (std::size_t i = 0; i < original.pixel_count(); ++i) {
     ASSERT_EQ(loaded.data()[i], original.data()[i]);
   }
+}
+
+TEST(Pgm, ShortFinalWriteThrows) {
+  TempDir dir;
+  ImageU8 image(16, 16);
+  const hs::testing::FileSizeLimit limit(100);  // of 269 bytes
+  EXPECT_THROW(write_pgm_u8(dir.str("a.pgm"), image), IoError);
 }
 
 TEST(Pgm, ReadsCommentsInHeader) {

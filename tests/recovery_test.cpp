@@ -5,13 +5,11 @@
 // frame boundary (and inside frames) and proves recovery resubmits exactly
 // the accepted-but-unfinished jobs with bit-identical results.
 #include <gtest/gtest.h>
-#include <sys/resource.h>
 #include <unistd.h>
 
 #include <algorithm>
 #include <atomic>
 #include <chrono>
-#include <csignal>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
@@ -31,12 +29,14 @@
 #include "stitch/request.hpp"
 #include "stitch/spectrum_store.hpp"
 #include "stitch/table_io.hpp"
+#include "file_size_limit.hpp"
 #include "testing_providers.hpp"
 
 using namespace hs;
 using testing_grid = sim::SyntheticGrid;
 namespace fs = std::filesystem;
 using hs::testing::fast_options;
+using hs::testing::FileSizeLimit;
 using hs::testing::small_grid;
 using hs::testing::tables_identical;
 
@@ -54,31 +54,6 @@ void write_bytes(const std::string& path, const std::string& bytes) {
   file.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
   ASSERT_TRUE(file.good()) << path;
 }
-
-/// Lowers this process's soft RLIMIT_FSIZE to `bytes`, with SIGXFSZ
-/// ignored, so a write reaching the limit comes back short (and the next
-/// fails with EFBIG) instead of killing the test. Restores both on scope
-/// exit. Acts on the test process only.
-class FileSizeLimit {
- public:
-  explicit FileSizeLimit(std::uint64_t bytes)
-      : old_handler_(std::signal(SIGXFSZ, SIG_IGN)) {
-    EXPECT_EQ(::getrlimit(RLIMIT_FSIZE, &old_), 0);
-    rlimit lowered = old_;
-    lowered.rlim_cur = std::min<rlim_t>(bytes, old_.rlim_max);
-    EXPECT_EQ(::setrlimit(RLIMIT_FSIZE, &lowered), 0);
-  }
-  ~FileSizeLimit() {
-    ::setrlimit(RLIMIT_FSIZE, &old_);
-    std::signal(SIGXFSZ, old_handler_);
-  }
-  FileSizeLimit(const FileSizeLimit&) = delete;
-  FileSizeLimit& operator=(const FileSizeLimit&) = delete;
-
- private:
-  rlimit old_{};
-  void (*old_handler_)(int);
-};
 
 /// Journal segments in `dir`, sorted by index.
 std::vector<std::string> wal_segments(const std::string& dir) {

@@ -472,10 +472,10 @@ TEST(SimdPlanCache, ForcedTierJoinsTheCacheKey) {
   cache.clear();
 }
 
-TEST(SimdPlanCache, OnlyTheComplexPlanNotesTheTransposeFamily) {
-  // Only Plan2d's row blocks run a transpose. Building an r2c+c2r pipeline
-  // under a forced tier notes the fft family and leaves the transpose gauge
-  // on the tier the last complex plan noted; a complex pipeline moves it.
+TEST(SimdPlanCache, EveryPlanNotesTheTransposeFamily) {
+  // Every 2-D plan's row blocks run a transpose: Plan2d's block transpose
+  // and the r2c/c2r row bodies' gathers. Building a pipeline of either kind
+  // under a forced tier moves the transpose gauge to that tier.
   using metrics::wellknown::kernel_dispatch;
   auto& cache = fft::PlanCache::instance();
   cache.clear();
@@ -490,9 +490,12 @@ TEST(SimdPlanCache, OnlyTheComplexPlanNotesTheTransposeFamily) {
     ScopedKernelDispatch forced(KernelDispatch::kScalar);
     stitch::make_fft_pipeline(8, 12, fft::Rigor::kEstimate, true);
     EXPECT_EQ(kernel_dispatch("fft", "scalar").value(), 1);
-    EXPECT_EQ(kernel_dispatch("transpose", wide).value(), 1);
-    stitch::make_fft_pipeline(8, 12, fft::Rigor::kEstimate, false);
     EXPECT_EQ(kernel_dispatch("transpose", "scalar").value(), 1);
+  }
+  {
+    ScopedKernelDispatch forced(KernelDispatch::kAuto);
+    stitch::make_fft_pipeline(8, 12, fft::Rigor::kEstimate, true);
+    EXPECT_EQ(kernel_dispatch("transpose", wide).value(), 1);
   }
   cache.clear();
 }

@@ -11,6 +11,7 @@
 #include "fft/dft_ref.hpp"
 #include "fft/plan1d.hpp"
 #include "fft/wisdom.hpp"
+#include "file_size_limit.hpp"
 
 namespace hs::fft {
 namespace {
@@ -83,6 +84,12 @@ TEST_F(WisdomTest, SaveLoadRoundTrip) {
             (std::vector<int>{4, 3, 2}));
   EXPECT_EQ(*wisdom_lookup(60, Direction::kInverse),
             (std::vector<int>{5, 4, 3}));
+}
+
+TEST_F(WisdomTest, SaveShortFinalWriteThrows) {
+  wisdom_remember(24, Direction::kForward, {4, 3, 2});
+  const hs::testing::FileSizeLimit limit(10);
+  EXPECT_THROW(wisdom_save(path()), IoError);
 }
 
 TEST_F(WisdomTest, LoadRejectsGarbage) {
