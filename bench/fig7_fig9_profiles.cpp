@@ -8,7 +8,6 @@
 // dense (Fig 9).
 // Part 2 runs both implementations for real on the virtual GPU with the
 // trace recorder attached and writes chrome://tracing files.
-#include <algorithm>
 #include <cstdio>
 
 #include "common/cli.hpp"
@@ -20,40 +19,6 @@
 #include "trace/trace.hpp"
 
 using namespace hs;
-
-namespace {
-
-/// Union occupancy across several lanes (e.g. kernels spread over the fft
-/// and displacement streams): merged-interval busy time over the recording.
-double union_occupancy(const trace::Recorder& recorder,
-                       const std::vector<std::string>& lanes) {
-  std::vector<std::pair<double, double>> intervals;
-  double t0 = 0.0, t1 = 0.0;
-  bool first = true;
-  for (const auto& span : recorder.spans()) {
-    if (first) {
-      t0 = span.t0_us;
-      t1 = span.t1_us;
-      first = false;
-    } else {
-      t0 = std::min(t0, span.t0_us);
-      t1 = std::max(t1, span.t1_us);
-    }
-    if (std::find(lanes.begin(), lanes.end(), span.lane) != lanes.end()) {
-      intervals.emplace_back(span.t0_us, span.t1_us);
-    }
-  }
-  std::sort(intervals.begin(), intervals.end());
-  double busy = 0.0, cursor = -1.0;
-  for (const auto& [a, b] : intervals) {
-    const double start = std::max(a, cursor);
-    if (b > start) busy += b - start;
-    cursor = std::max(cursor, b);
-  }
-  return t1 > t0 ? busy / (t1 - t0) : 0.0;
-}
-
-}  // namespace
 
 int main(int argc, char** argv) {
   CliParser cli("fig7_fig9_profiles",
@@ -133,9 +98,13 @@ int main(int argc, char** argv) {
   }
   std::printf("%s\n", table.render().c_str());
 
-  const double real_simple = union_occupancy(simple_real, {"gpu0.default"});
+  // Union occupancy across the GPU's kernel lanes: Pipelined-GPU spreads its
+  // kernels over the fft and displacement streams.
+  const std::vector<std::string> simple_lanes = {"gpu0.default"};
+  const std::vector<std::string> pipelined_lanes = {"gpu0.fft", "gpu0.disp"};
+  const double real_simple = simple_real.lane_stats(simple_lanes).occupancy;
   const double real_pipelined =
-      union_occupancy(pipelined_real, {"gpu0.fft", "gpu0.disp"});
+      pipelined_real.lane_stats(pipelined_lanes).occupancy;
   std::printf("real GPU-lane union occupancy: Simple-GPU %.1f%%, "
               "Pipelined-GPU %.1f%% (note: this host's virtual GPU has no "
               "launch latency, so the real contrast is structural; the "

@@ -173,6 +173,16 @@ for preset in "${presets[@]}"; do
       python3 perfbench/run.py --workload "${workload}" --seed 1 \
         --seconds 5 --trace 0 >/dev/null
     done
+    # Traced smoke of the plate workloads: a traced run also checks that the
+    # per-layer spans cover each request (trace.layer_gap_frac <= 0.10),
+    # which for these workloads holds by construction. serve-window stays
+    # out: its request span also covers the client's delay in seeing a
+    # finished job, which is not library time and trips the check.
+    echo "==> [release] traced perfbench smoke (plate-disk, plate-hybrid)"
+    for workload in plate-disk plate-hybrid; do
+      python3 perfbench/run.py --workload "${workload}" --seed 1 \
+        --seconds 5 --trace 1 >/dev/null
+    done
   fi
 done
 

@@ -48,55 +48,30 @@ inline bool is_terminal(JobState state) {
          state == JobState::kFailed || state == JobState::kRejected;
 }
 
-/// What callers submit. `provider` must outlive the job.
-struct StitchJob {
+/// What callers submit: a StitchRequest (whose `provider` must outlive the
+/// job) plus the service's own fields. The service normalizes an empty
+/// tenant to "default", and when `fallback` is empty and the primary is a
+/// GPU backend it defaults the chain to {kMtCpu}, so a dying device degrades
+/// to the CPU instead of failing the job. `deadline_ms` counts from
+/// submit(): a job that expires while queued is shed before admission
+/// (state kFailed, DeadlineExceeded), with its final checkpoint written so a
+/// resubmit resumes.
+struct StitchJob : stitch::StitchRequest {
   std::string name;
-  stitch::Backend backend = stitch::Backend::kSimpleCpu;
-  const stitch::TileProvider* provider = nullptr;
-  stitch::StitchOptions options;
   /// Higher runs first among jobs that fit the remaining budget.
   int priority = 0;
-
-  // --- fault tolerance ----------------------------------------------------
-  /// Tile-read retry/quarantine policy, forwarded to the StitchRequest.
-  fault::RetryPolicy retry = {};
-  /// Backend chain to fall back to on a device fault. When empty and the
-  /// primary is a GPU backend, the service defaults it to {kMtCpu} so a
-  /// dying device degrades to the CPU instead of failing the job.
-  std::vector<stitch::Backend> fallback = {};
   /// When set, the service periodically persists the job's partial
   /// displacement table here (see ServiceConfig::checkpoint_interval_s) and,
   /// if the file already holds a compatible table, resumes from it —
   /// recomputing only the missing pairs. Checkpoints carry a CRC32C footer
   /// and the job's quarantined-tile set; a corrupt file is detected and the
-  /// job starts fresh instead of resuming from damage.
+  /// job starts fresh instead of resuming from damage. The quarantine
+  /// sidecar extends `pre_quarantined` on resume, so a recovered job does
+  /// not re-read tiles a previous incarnation already gave up on.
   std::string checkpoint_path;
-  /// Tile indices poisoned from the start: their pairs fail immediately and
-  /// the tiles are never read. The checkpoint's quarantine sidecar extends
-  /// this on resume, so a recovered job does not re-read tiles a previous
-  /// incarnation already gave up on.
-  std::vector<std::size_t> pre_quarantined = {};
-
-  // --- time-domain robustness ---------------------------------------------
-  /// End-to-end wall-clock budget, milliseconds; 0 = unlimited. The clock
-  /// starts at submit(), so queue wait counts against it: a job that expires
-  /// while queued is shed before admission (state kFailed, DeadlineExceeded),
-  /// with its final checkpoint written so a resubmit resumes.
-  std::int64_t deadline_ms = 0;
   /// Longest this job may wait in the queue before it is shed (kRejected),
   /// milliseconds; 0 falls back to ServiceConfig::max_queue_wait_s.
   std::int64_t max_queue_wait_ms = 0;
-
-  // --- multi-tenant identity ----------------------------------------------
-  /// Tenant this job is accounted to; empty is normalized to "default".
-  /// Under contention the scheduler admits tenants weighted-fair and holds
-  /// each tenant inside its memory quota (see service.hpp).
-  std::string tenant;
-  /// Weighted-fair-queueing weight (> 0); higher = admitted more often.
-  double tenant_weight = 1.0;
-  /// Cap on the sum of this tenant's admitted-job footprints plus its
-  /// shared-cache residency, bytes; 0 = unlimited.
-  std::size_t tenant_quota_bytes = 0;
 };
 
 /// Point-in-time progress snapshot.

@@ -177,22 +177,13 @@ void StitchService::recover_from_journal() {
       continue;
     }
     try {
-      stitch::StitchRequest request =
-          stitch::deserialize_request(entry.request_text);
       StitchJob job;
-      job.name = entry.name;
-      job.backend = request.backend;
+      static_cast<stitch::StitchRequest&>(job) =
+          stitch::deserialize_request(entry.request_text);
       job.provider = provider;
-      job.options = request.options;
+      job.name = entry.name;
       job.priority = entry.priority;
-      job.retry = request.retry;
-      job.fallback = request.fallback;
       job.checkpoint_path = entry.checkpoint_path;
-      job.pre_quarantined = request.pre_quarantined;
-      job.deadline_ms = request.deadline_ms;
-      job.tenant = request.tenant;
-      job.tenant_weight = request.tenant_weight;
-      job.tenant_quota_bytes = request.tenant_quota_bytes;
       JobHandle handle = submit_internal(std::move(job), entry.id);
       const bool resumed = handle.record_->has_warm;
       if (resumed) {
@@ -236,19 +227,12 @@ JobHandle StitchService::submit_internal(StitchJob job,
                                          std::uint64_t journal_id) {
   auto record = std::make_shared<detail::JobRecord>();
   record->name = std::move(job.name);
-  record->request =
-      stitch::StitchRequest{job.backend, job.provider, job.options};
-  record->request.retry = job.retry;
-  record->request.fallback = std::move(job.fallback);
-  record->request.pre_quarantined = std::move(job.pre_quarantined);
-  record->request.deadline_ms = job.deadline_ms;
+  record->request = std::move(static_cast<stitch::StitchRequest&>(job));
   // Normalized here once; every later consumer (scheduler, shared cache,
   // journal serde) sees a non-empty tenant.
-  record->request.tenant = job.tenant.empty() ? "default" : std::move(job.tenant);
-  record->request.tenant_weight = job.tenant_weight;
-  record->request.tenant_quota_bytes = job.tenant_quota_bytes;
+  if (record->request.tenant.empty()) record->request.tenant = "default";
   if (record->request.fallback.empty() &&
-      stitch::is_gpu_backend(job.backend)) {
+      stitch::is_gpu_backend(record->request.backend)) {
     // GPU jobs degrade to the CPU by default rather than failing outright.
     record->request.fallback = {stitch::Backend::kMtCpu};
   }
@@ -260,13 +244,13 @@ JobHandle StitchService::submit_internal(StitchJob job,
   record->priority = job.priority;
   if (!job.checkpoint_path.empty()) {
     record->checkpoint_path = job.checkpoint_path;
-    record->ledger =
-        std::make_unique<stitch::PairLedger>(job.provider->layout());
+    record->ledger = std::make_unique<stitch::PairLedger>(
+        record->request.provider->layout());
     if (std::ifstream(job.checkpoint_path).good()) {
       try {
         stitch::TableFileData data =
             stitch::read_table_file(job.checkpoint_path);
-        const img::GridLayout layout = job.provider->layout();
+        const img::GridLayout layout = record->request.provider->layout();
         if (data.table.layout.rows == layout.rows &&
             data.table.layout.cols == layout.cols) {
           record->warm = std::move(data.table);
@@ -305,7 +289,7 @@ JobHandle StitchService::submit_internal(StitchJob job,
       predict_footprint(record->request, config_.cost);
   record->footprint_bytes = footprint.bytes;
   record->predicted_seconds = footprint.seconds;
-  record->pairs_total = job.provider->layout().pair_count();
+  record->pairs_total = record->request.provider->layout().pair_count();
   if (footprint.bytes > config_.memory_budget_bytes && journal_id == 0) {
     // Fresh submits are refused outright. Recovery resubmits are NOT: the
     // job was accepted — and journaled — under some earlier (possibly

@@ -2,11 +2,12 @@
 // (see scheduler.hpp for the design rationale). Layout of this file:
 //
 //   WorkPool            lanes of pair tasks + the claim/steal protocol
+//   band_pairs          every band's pair list, closed in traversal order
 //   cached_pair         the host TransformCache path every CPU executor runs
-//   run_cpu             CPU-only shapes (naive, simple-, mt-, pipelined-cpu)
 //   run_gpu_sync        the synchronous single-stream Simple-GPU shape
-//   run_gpu_async       pipelined GPU shapes, incl. hybrid CPU+GPU bands,
-//                       stolen-pair execution, and batched dispatch
+//   run_bands           every other shape: one six-stage pipeline per GPU
+//                       band plus the CPU band (every row on a CPU-only
+//                       shape), stolen-pair execution, batched dispatch
 //   ResourceSet / gpu_row_bands / HybridScheduler / stitch()
 #include "stitch/scheduler.hpp"
 
@@ -219,47 +220,42 @@ class WorkPool {
   std::vector<std::unique_ptr<Lane>> lanes_;
 };
 
-/// Appends the pairs that visiting `pos` closes, west then north, minus
-/// those a warm start already settled.
-void close_pairs_at(const img::GridLayout& layout, img::TilePos pos,
-                    const WarmFilter& warm, std::vector<PairTask>& pairs) {
-  if (layout.has_west(pos) && !warm.skip_west(pos)) {
-    pairs.push_back(
-        PairTask{img::TilePos{pos.row, pos.col - 1}, pos, /*is_west=*/true});
-  }
-  if (layout.has_north(pos) && !warm.skip_north(pos)) {
-    pairs.push_back(PairTask{img::TilePos{pos.row - 1, pos.col}, pos,
-                             /*is_west=*/false});
-  }
-}
-
-/// All remaining pairs in the traversal's closure order: visiting a tile
-/// closes its west then north pair — the order every sequential backend
-/// has always used, so a single lane replayed by one executor reproduces
-/// the legacy pair sequence exactly.
-std::vector<PairTask> pairs_in_closure_order(const img::GridLayout& layout,
-                                             Traversal traversal,
-                                             const WarmFilter& warm) {
-  std::vector<PairTask> pairs;
-  for (const img::TilePos pos : traversal_order(layout, traversal)) {
-    close_pairs_at(layout, pos, warm, pairs);
-  }
-  return pairs;
-}
-
-/// The remaining pairs whose moved tile lies in rows [row_begin, row_end),
-/// closed row-major. North pairs on row_begin reach into the row above: the
-/// band's halo row.
+/// The remaining pairs whose moved tile lies in the band's own rows, minus
+/// those a warm start already settled, in the traversal's closure order over
+/// those rows: visiting a tile closes its west then north pair. For the
+/// whole-grid band that is the order every sequential backend has always
+/// used, so one lane replayed by one executor reproduces the legacy pair
+/// sequence exactly. North pairs on the band's first row reach into its
+/// halo row.
 std::vector<PairTask> band_pairs(const img::GridLayout& layout,
-                                 std::size_t row_begin, std::size_t row_end,
+                                 const RowBand& band, Traversal traversal,
                                  const WarmFilter& warm) {
   std::vector<PairTask> pairs;
-  for (std::size_t r = row_begin; r < row_end; ++r) {
-    for (std::size_t c = 0; c < layout.cols; ++c) {
-      close_pairs_at(layout, img::TilePos{r, c}, warm, pairs);
+  if (band.row_end <= band.row_begin) return pairs;
+  const img::GridLayout own{band.row_end - band.row_begin, layout.cols};
+  for (const img::TilePos local : traversal_order(own, traversal)) {
+    const img::TilePos pos{band.row_begin + local.row, local.col};
+    if (layout.has_west(pos) && !warm.skip_west(pos)) {
+      pairs.push_back(
+          PairTask{img::TilePos{pos.row, pos.col - 1}, pos, /*is_west=*/true});
+    }
+    if (layout.has_north(pos) && !warm.skip_north(pos)) {
+      pairs.push_back(PairTask{img::TilePos{pos.row - 1, pos.col}, pos,
+                               /*is_west=*/false});
     }
   }
   return pairs;
+}
+
+/// The tiles a band reads, halo row included, in traversal order.
+std::vector<img::TilePos> band_tiles(const RowBand& band, std::size_t cols,
+                                     Traversal traversal) {
+  std::vector<img::TilePos> tiles;
+  for (const img::TilePos local :
+       traversal_order(band.layout(cols), traversal)) {
+    tiles.push_back(img::TilePos{band.first_row() + local.row, local.col});
+  }
+  return tiles;
 }
 
 /// Records one finished pair: its displacement-table slot, then the ledger
@@ -271,8 +267,7 @@ void record_pair(DisplacementTable& table, const StitchOptions& options,
 }
 
 // ---------------------------------------------------------------------------
-// Host transform cache: built and used the same way by the CPU-only shapes
-// and the hybrid CPU band.
+// Host transform cache: the CPU band's pair path.
 // ---------------------------------------------------------------------------
 
 /// Each tile's number of appearances in `pairs`: the initial reference
@@ -285,23 +280,6 @@ std::vector<std::size_t> tile_refcounts(const img::GridLayout& layout,
     ++refs[layout.index_of(pair.moved)];
   }
   return refs;
-}
-
-/// The host TransformCache of a run's CPU executors, bound to the options'
-/// cross-job store when one is set.
-std::unique_ptr<TransformCache> make_transform_cache(
-    const TileProvider& provider, const FftPipeline& fftp,
-    OpCountsAtomic& counts, const StitchOptions& options,
-    std::vector<std::size_t> refcounts) {
-  SharedCacheBinding shared;
-  shared.cache = options.shared_cache;
-  shared.tenant =
-      options.shared_tenant.empty() ? "default" : options.shared_tenant;
-  shared.tenant_quota_bytes = options.shared_tenant_quota_bytes;
-  shared.spill = options.spill;
-  return std::make_unique<TransformCache>(provider, fftp, &counts,
-                                          std::move(refcounts),
-                                          std::move(shared));
 }
 
 /// One pair through a TransformCache: the cached-pair body of every host
@@ -351,138 +329,6 @@ Translation cached_pair(TransformCache& cache, const PairTask& task,
 }
 
 // ---------------------------------------------------------------------------
-// CPU-only shapes: naive (no cache), simple-cpu (1 worker, inline),
-// mt-cpu (N workers), pipelined-cpu (N workers + prefetch threads).
-// ---------------------------------------------------------------------------
-
-StitchResult run_cpu(const ResourceSet& rs, const TileProvider& provider,
-                     const StitchOptions& options) {
-  const img::GridLayout layout = provider.layout();
-  StitchResult result(layout);
-  OpCountsAtomic counts;
-
-  const FftPipeline fftp =
-      make_fft_pipeline(provider.tile_height(), provider.tile_width(),
-                        options.rigor, options.use_real_fft);
-
-  const std::vector<PairTask> pairs = pairs_in_closure_order(
-      layout, options.traversal, WarmFilter(options.warm_start));
-  const std::vector<std::size_t> refcounts = tile_refcounts(layout, pairs);
-  // The naive shape deliberately skips the cross-job store too: its whole
-  // point is the no-reuse baseline.
-  std::unique_ptr<TransformCache> cache;
-  if (rs.use_transform_cache) {
-    cache = make_transform_cache(provider, fftp, counts, options, refcounts);
-  }
-  metrics::Histogram& pair_latency =
-      metrics::wellknown::pair_latency_us(rs.label);
-
-  WorkPool work(rs.steal_threshold, options.recorder);
-  const std::size_t lane = work.add_lane("cpu", WorkPool::Kind::kCpu);
-  for (const PairTask& task : pairs) work.push(lane, task);
-  work.close(lane);
-
-  auto process_pair = [&](const PairTask& task, PciamScratch& scratch) {
-    HS_METRIC_TIMER(pair_latency);
-    throw_if_cancelled(options);
-    Translation t;
-    if (cache != nullptr) {
-      t = cached_pair(*cache, task, options, scratch, counts);
-    } else {
-      // Naive (Fiji-style) shape: both tiles re-read and re-transformed for
-      // every pair, no reuse.
-      const img::ImageU16 a = provider.load(task.reference);
-      const img::ImageU16 b = provider.load(task.moved);
-      counts.bump(counts.tile_reads, 2);
-      t = pciam_full(a, b, fftp, scratch, &counts, options.peak_candidates,
-                     options.min_overlap_px);
-    }
-    record_pair(result.table, options, task.moved, task.is_west, t);
-  };
-
-  if (rs.cpu_workers <= 1 && rs.prefetch_threads == 0) {
-    // Sequential shapes run inline on the caller thread, preserving the
-    // exact legacy pair order — and with it the traversal's transform-memory
-    // profile (chained-diagonal keeps at most ~min(n, m)+1 transforms live).
-    metrics::Gauge& busy = metrics::wellknown::sched_executor_busy("cpu0");
-    PciamScratch scratch;
-    for (;;) {
-      WorkPool::Claim claim = work.claim(lane, 1);
-      if (claim.tasks.empty()) break;
-      busy.set(1);
-      for (const PairTask& task : claim.tasks) process_pair(task, scratch);
-      busy.set(0);
-    }
-  } else {
-    // Concurrent shapes: a worker stage claiming from the shared lane, plus
-    // an optional prefetch stage (the Pipelined-CPU reader) warming the
-    // cache ahead of the workers under a fixed in-flight budget.
-    const std::size_t slots = pool_slots(options, layout);
-    std::vector<img::TilePos> prefetch_list;
-    if (rs.prefetch_threads > 0) {
-      // Tiles whose every pair a warm start settled have no references:
-      // they are neither read nor transformed.
-      for (const img::TilePos pos :
-           traversal_order(layout, options.traversal)) {
-        if (refcounts[layout.index_of(pos)] > 0) prefetch_list.push_back(pos);
-      }
-    }
-    std::atomic<std::size_t> next_prefetch{0};
-    std::atomic<std::size_t> worker_ids{0};
-    hs::trace::Recorder* recorder = options.recorder;
-
-    pipe::Pipeline pipeline;
-    pipeline.on_cancel([&work] { work.close_all(); });
-    if (rs.prefetch_threads > 0) {
-      pipeline.add_stage("prefetch", rs.prefetch_threads, [&] {
-        for (;;) {
-          throw_if_cancelled(options);
-          const std::size_t i =
-              next_prefetch.fetch_add(1, std::memory_order_relaxed);
-          if (i >= prefetch_list.size() || pipeline.cancelled()) return;
-          // Back-pressure: a prefetcher running far ahead of the workers
-          // would pin the whole grid in memory; cap live transforms at the
-          // CPU "pool" size instead (the SlotLimiter analogue).
-          while (cache->live_transforms() >= slots) {
-            throw_if_cancelled(options);
-            if (pipeline.cancelled()) return;
-            std::this_thread::sleep_for(std::chrono::microseconds(200));
-          }
-          const trace::Recorder::Scoped span(recorder, "cpu.read",
-                                             "prefetch");
-          cache->prefetch(prefetch_list[i]);
-        }
-      });
-    }
-    pipeline.add_stage(
-        "workers", std::max<std::size_t>(1, rs.cpu_workers), [&] {
-          const std::size_t id =
-              worker_ids.fetch_add(1, std::memory_order_relaxed);
-          set_current_thread_name("sched.cpu" + std::to_string(id));
-          metrics::Gauge& busy = metrics::wellknown::sched_executor_busy(
-              "cpu" + std::to_string(id));
-          PciamScratch scratch;
-          for (;;) {
-            WorkPool::Claim claim = work.claim(lane, 1);
-            if (claim.tasks.empty()) break;
-            busy.set(1);
-            for (const PairTask& task : claim.tasks) {
-              process_pair(task, scratch);
-            }
-            busy.set(0);
-          }
-        });
-    pipeline.run();
-  }
-
-  result.peak_live_transforms =
-      cache != nullptr ? cache->peak_live_transforms()
-                       : (layout.pair_count() > 0 ? 2 : 0);
-  result.ops = counts.snapshot();
-  return result;
-}
-
-// ---------------------------------------------------------------------------
 // Device transforms shared by both GPU shapes.
 // ---------------------------------------------------------------------------
 
@@ -515,8 +361,9 @@ StitchResult run_gpu_sync(const ResourceSet& rs, const TileProvider& provider,
   const img::GridLayout layout = provider.layout();
   StitchResult result(layout);
   OpCountsAtomic counts;
-  const std::vector<PairTask> pairs = pairs_in_closure_order(
-      layout, options.traversal, WarmFilter(options.warm_start));
+  const std::vector<PairTask> pairs =
+      band_pairs(layout, RowBand{0, layout.rows}, options.traversal,
+                 WarmFilter(options.warm_start));
   const std::vector<std::size_t> refcounts = tile_refcounts(layout, pairs);
 
   const FftPipeline fftp =
@@ -672,9 +519,9 @@ StitchResult run_gpu_sync(const ResourceSet& rs, const TileProvider& provider,
 }
 
 // ---------------------------------------------------------------------------
-// Pipelined GPU shapes: per-GPU six-stage pipelines (paper SIV-B, Fig 8)
-// over the shared work pool, plus the hybrid CPU band, stolen-pair
-// execution, and batched dispatch.
+// Band runs, every shape but Simple-GPU: per-GPU six-stage pipelines (paper
+// SIV-B, Fig 8) over the shared work pool, plus the CPU band (every row on a
+// CPU-only shape), stolen-pair execution, and batched dispatch.
 // ---------------------------------------------------------------------------
 
 /// Work item flowing through stages 1-3 of one GPU pipeline. A null tile
@@ -875,8 +722,8 @@ std::string group_label(const char* label, std::size_t n) {
   return n == 1 ? std::string(label) : std::string(label) + "_batched";
 }
 
-StitchResult run_gpu_async(const ResourceSet& rs, const TileProvider& provider,
-                           const StitchOptions& options) {
+StitchResult run_bands(const ResourceSet& rs, const TileProvider& provider,
+                       const StitchOptions& options) {
   const img::GridLayout layout = provider.layout();
   const WarmFilter warm(options.warm_start);
   StitchResult result(layout);
@@ -892,7 +739,8 @@ StitchResult run_gpu_async(const ResourceSet& rs, const TileProvider& provider,
   const std::size_t bins = fftp.spectrum_count();
   const std::size_t buffer_bytes = fftp.transform_bytes();
 
-  // Hybrid shape: CPU workers take the rows below the last GPU band.
+  // CPU workers take the rows below the last GPU band: every row on a
+  // CPU-only shape, which has no GPU band.
   const std::vector<RowBand> bands = gpu_row_bands(layout, rs);
   const std::size_t gpu_count = bands.size();
   const std::size_t fft_stream_count =
@@ -914,16 +762,11 @@ StitchResult run_gpu_async(const ResourceSet& rs, const TileProvider& provider,
     const std::size_t row_begin = bands[g].row_begin;
     const std::size_t row_end = bands[g].row_end;
     const img::GridLayout band = bands[g].layout(layout.cols);
-    const std::size_t halo_begin = bands[g].first_row();
-    // Visit the band in the configured traversal order (shifted into it).
-    for (const img::TilePos local : traversal_order(band, options.traversal)) {
-      gpu->tiles_to_read.push_back(
-          img::TilePos{halo_begin + local.row, local.col});
-    }
+    gpu->tiles_to_read = band_tiles(bands[g], layout.cols, options.traversal);
     // Warm-settled pairs are excluded at partition time: reference counts,
     // the read plan, and the halo sets all derive from owned_pairs, so a
     // warm start shrinks every downstream structure consistently.
-    gpu->owned_pairs = band_pairs(layout, row_begin, row_end, warm);
+    gpu->owned_pairs = band_pairs(layout, bands[g], options.traversal, warm);
     if (use_p2p) {
       // A halo transform crosses devices only when the consumer's boundary
       // pair still needs computing.
@@ -999,19 +842,40 @@ StitchResult run_gpu_async(const ResourceSet& rs, const TileProvider& provider,
   // lane closed) up front — they have no device-side dependency chain, so
   // there is nothing to wait for, and a closed lane is raidable down to
   // zero by idle GPUs.
-  // North pairs on the band's first row reach into the last GPU band. The
-  // CPU band reads and transforms that halo row itself, so no
-  // cross-executor handoff is needed: the boundary row is transformed on
-  // both sides.
+  // North pairs on the band's first row reach into the last GPU band, if
+  // there is one. The CPU band reads and transforms that halo row itself,
+  // so no cross-executor handoff is needed: the boundary row is transformed
+  // on both sides.
+  const RowBand cpu_band{bands.empty() ? 0 : bands.back().row_end,
+                         layout.rows};
   const std::vector<PairTask> cpu_pairs =
-      band_pairs(layout, bands.back().row_end, layout.rows, warm);
+      band_pairs(layout, cpu_band, options.traversal, warm);
   // The band's tiles, halo row included, are read and transformed once
-  // each through the same cache MT-CPU uses, counted over exactly the
-  // band's pairs (a halo tile counts only its north pair).
+  // each through one cache bound to the options' cross-job store, counted
+  // over exactly the band's pairs (a halo tile counts only its north pair).
+  // The naive shape has no cache, nor the cross-job store: its whole point
+  // is the no-reuse baseline.
+  const std::vector<std::size_t> cpu_refs = tile_refcounts(layout, cpu_pairs);
   std::unique_ptr<TransformCache> cpu_cache;
-  if (!cpu_pairs.empty()) {
-    cpu_cache = make_transform_cache(provider, fftp, counts, options,
-                                     tile_refcounts(layout, cpu_pairs));
+  if (rs.use_transform_cache && !cpu_pairs.empty()) {
+    SharedCacheBinding shared;
+    shared.cache = options.shared_cache;
+    shared.tenant =
+        options.shared_tenant.empty() ? "default" : options.shared_tenant;
+    shared.tenant_quota_bytes = options.shared_tenant_quota_bytes;
+    shared.spill = options.spill;
+    cpu_cache = std::make_unique<TransformCache>(provider, fftp, &counts,
+                                                 cpu_refs, std::move(shared));
+  }
+  // The prefetch stage's list (the Pipelined-CPU reader): the band's tiles
+  // in traversal order, minus those no pair references — tiles whose every
+  // pair a warm start settled are neither read nor transformed.
+  std::vector<img::TilePos> prefetch_list;
+  if (rs.prefetch_threads > 0 && cpu_cache != nullptr) {
+    for (const img::TilePos pos :
+         band_tiles(cpu_band, layout.cols, options.traversal)) {
+      if (cpu_refs[layout.index_of(pos)] > 0) prefetch_list.push_back(pos);
+    }
   }
 
   WorkPool work(rs.steal_threshold, options.recorder);
@@ -1031,7 +895,6 @@ StitchResult run_gpu_async(const ResourceSet& rs, const TileProvider& provider,
   }
 
   pipe::BoundedQueue<CcfTask> q_ccf;  // stage 6, shared across GPUs
-  q_ccf.instrument("pipelined_gpu.ccf");
   std::atomic<std::size_t> disp_stages_live{gpu_count};
   std::atomic<std::size_t> cpu_worker_ids{0};
   metrics::Histogram& pair_latency =
@@ -1043,8 +906,9 @@ StitchResult run_gpu_async(const ResourceSet& rs, const TileProvider& provider,
   // the victim's device buffers (host-visible in the virtual-GPU model)
   // already hold both spectra: the thief reuses them via pciam_from_spectra
   // and no forward transform is repeated. A CPU-lane pair runs through the
-  // CPU band's cache exactly as an MT-CPU worker would, whichever executor
-  // claimed it.
+  // CPU band's cache, whichever executor claimed it, or on the naive shape
+  // re-reads and re-transforms both tiles (only a CPU-only shape may drop
+  // the cache, so no GPU ever claims such a pair).
   auto host_pair = [&](const PairTask& task, GpuPipeline* victim,
                        PciamScratch& scratch) {
     HS_METRIC_TIMER(pair_latency);
@@ -1058,8 +922,14 @@ StitchResult run_gpu_async(const ResourceSet& rs, const TileProvider& provider,
                              options.min_overlap_px);
       release_tile(victim, layout, task.reference);
       release_tile(victim, layout, task.moved);
-    } else {
+    } else if (cpu_cache != nullptr) {
       t = cached_pair(*cpu_cache, task, options, scratch, counts);
+    } else {
+      const img::ImageU16 a = provider.load(task.reference);
+      const img::ImageU16 b = provider.load(task.moved);
+      counts.bump(counts.tile_reads, 2);
+      t = pciam_full(a, b, fftp, scratch, &counts, options.peak_candidates,
+                     options.min_overlap_px);
     }
     record_pair(result.table, options, task.moved, task.is_west, t);
   };
@@ -1375,6 +1245,34 @@ StitchResult run_gpu_async(const ResourceSet& rs, const TileProvider& provider,
         });
   }
 
+  // ---- CPU band prefetch (the Pipelined-CPU reader): warms the band's
+  // cache ahead of the workers. Back-pressure: a prefetcher running far
+  // ahead of the workers would pin the whole band in memory, so it caps
+  // live transforms at the band's pool size (the SlotLimiter analogue).
+  std::atomic<std::size_t> next_prefetch{0};
+  if (!prefetch_list.empty()) {
+    const std::size_t slots = pool_slots(options, cpu_band.layout(layout.cols));
+    pipeline.add_stage(
+        "prefetch", rs.prefetch_threads,
+        [&pipeline, &options, &cpu_cache, &prefetch_list, &next_prefetch,
+         slots] {
+          for (;;) {
+            throw_if_cancelled(options);
+            const std::size_t i =
+                next_prefetch.fetch_add(1, std::memory_order_relaxed);
+            if (i >= prefetch_list.size() || pipeline.cancelled()) return;
+            while (cpu_cache->live_transforms() >= slots) {
+              throw_if_cancelled(options);
+              if (pipeline.cancelled()) return;
+              std::this_thread::sleep_for(std::chrono::microseconds(200));
+            }
+            const trace::Recorder::Scoped span(options.recorder, "cpu.read",
+                                               "prefetch");
+            cpu_cache->prefetch(prefetch_list[i]);
+          }
+        });
+  }
+
   // ---- CPU band workers: claim from the shared "cpu" lane (and steal GPU
   // pairs when idle and allowed), completing every pair on the host.
   if (rs.cpu_workers > 0) {
@@ -1401,31 +1299,38 @@ StitchResult run_gpu_async(const ResourceSet& rs, const TileProvider& provider,
         });
   }
 
-  // ---- Stage 6: CCF threads, shared across all GPU pipelines.
+  // ---- Stage 6: CCF threads, shared across all GPU pipelines. The last
+  // displacement stage closes q_ccf, so without a GPU band nothing would.
   std::atomic<std::size_t> ccf_ids{0};
-  pipeline.add_stage(
-      "ccf", std::max<std::size_t>(1, options.ccf_threads),
-      [&q_ccf, &result, &counts, &options, &ccf_ids, &pair_latency, &fftp] {
-        const std::size_t id = ccf_ids.fetch_add(1, std::memory_order_relaxed);
-        const std::string lane = "cpu.ccf" + std::to_string(id);
-        while (auto task = q_ccf.pop()) {
-          // Covers the host-side completion of the pair (peak disambiguation
-          // + table write); the device-side NCC/IFFT cost shows up in the
-          // queue wait histograms instead.
-          HS_METRIC_TIMER(pair_latency);
-          throw_if_cancelled(options);
-          counts.bump(counts.ccf_evaluations, 4 * task->peak_indices.size());
-          Translation translation;
-          {
-            const trace::Recorder::Scoped span(options.recorder, lane, "ccf");
-            translation = disambiguate_peaks(*task->reference, *task->moved,
-                                             task->peak_indices, fftp.width,
-                                             options.min_overlap_px);
+  if (gpu_count > 0) {
+    q_ccf.instrument("pipelined_gpu.ccf");
+    pipeline.add_stage(
+        "ccf", std::max<std::size_t>(1, options.ccf_threads),
+        [&q_ccf, &result, &counts, &options, &ccf_ids, &pair_latency, &fftp] {
+          const std::size_t id =
+              ccf_ids.fetch_add(1, std::memory_order_relaxed);
+          const std::string lane = "cpu.ccf" + std::to_string(id);
+          while (auto task = q_ccf.pop()) {
+            // Covers the host-side completion of the pair (peak
+            // disambiguation + table write); the device-side NCC/IFFT cost
+            // shows up in the queue wait histograms instead.
+            HS_METRIC_TIMER(pair_latency);
+            throw_if_cancelled(options);
+            counts.bump(counts.ccf_evaluations,
+                        4 * task->peak_indices.size());
+            Translation translation;
+            {
+              const trace::Recorder::Scoped span(options.recorder, lane,
+                                                 "ccf");
+              translation = disambiguate_peaks(
+                  *task->reference, *task->moved, task->peak_indices,
+                  fftp.width, options.min_overlap_px);
+            }
+            record_pair(result.table, options, task->moved_pos,
+                        task->is_west, translation);
           }
-          record_pair(result.table, options, task->moved_pos, task->is_west,
-                      translation);
-        }
-      });
+        });
+  }
 
   try {
     pipeline.run();
@@ -1444,8 +1349,12 @@ StitchResult run_gpu_async(const ResourceSet& rs, const TileProvider& provider,
     throw;
   }
 
-  std::size_t peak_total =
-      cpu_cache != nullptr ? cpu_cache->peak_live_transforms() : 0;
+  std::size_t peak_total = 0;
+  if (cpu_cache != nullptr) {
+    peak_total = cpu_cache->peak_live_transforms();
+  } else if (!rs.use_transform_cache && layout.pair_count() > 0) {
+    peak_total = 2;  // the naive shape holds one pair's two transforms
+  }
   for (const auto& gpu : gpus) {
     peak_total += gpu->peak.load(std::memory_order_relaxed);
   }
@@ -1520,6 +1429,7 @@ std::string ResourceSet::describe() const {
 
 std::vector<RowBand> gpu_row_bands(const img::GridLayout& layout,
                                    const ResourceSet& resources) {
+  if (resources.gpu_devices == 0) return {};
   const std::size_t gpus =
       std::max<std::size_t>(1, std::min(resources.gpu_devices, layout.rows));
   const bool cpu_band = resources.cpu_workers > 0 && layout.rows > gpus;
@@ -1595,6 +1505,11 @@ StitchResult HybridScheduler::run(const TileProvider& provider,
         "ResourceSet.prefetch_threads: prefetching warms the transform "
         "cache, which use_transform_cache = false removes");
   }
+  if (rs.prefetch_threads > 0 && rs.cpu_workers == 0) {
+    throw InvalidArgument(
+        "ResourceSet.prefetch_threads: prefetching warms the CPU band's "
+        "transform cache, and a shape without CPU workers has no CPU band");
+  }
   if (!rs.use_transform_cache && rs.gpu_devices > 0) {
     throw InvalidArgument(
         "ResourceSet.use_transform_cache: only the CPU-only naive shape may "
@@ -1616,9 +1531,8 @@ StitchResult HybridScheduler::run(const TileProvider& provider,
         "ResourceSet: hybrid CPU+GPU bands are incompatible with use_p2p");
   }
   validate_pool_slots(rs, options, provider.layout());
-  if (rs.gpu_devices == 0) return run_cpu(rs, provider, options);
   if (rs.synchronous_gpu) return run_gpu_sync(rs, provider, options);
-  return run_gpu_async(rs, provider, options);
+  return run_bands(rs, provider, options);
 }
 
 StitchResult stitch(const ResourceSet& resources, const TileProvider& provider,

@@ -10,6 +10,14 @@
 // (ResourceSet::for_backend), and hybrid CPU+GPU configurations that no
 // enum value names become expressible.
 //
+// Every shape but Simple-GPU runs one band body: a six-stage pipeline per
+// GPU row band (gpu_row_bands) plus one CPU band, the rows below the last
+// GPU band, whose workers — and, with prefetch_threads, the Pipelined-CPU
+// reader stage — serve it through one TransformCache. A CPU-only shape is a
+// band run with no GPU band and a CPU band covering every row; Simple-CPU is
+// its one-worker case. Every band closes its pairs in the configured
+// traversal order over its own rows.
+//
 // Two extensions ride on the unified loop, both off by default so every
 // legacy configuration stays bit-identical to its pre-scheduler behavior:
 //
@@ -59,9 +67,9 @@ namespace hs::stitch {
 struct ResourceSet {
   /// CPU pair workers. 0 = GPU-only configuration.
   std::size_t cpu_workers = 1;
-  /// Dedicated transform-prefetch threads warming the TransformCache ahead
-  /// of the workers (the Pipelined-CPU reader stage). Requires
-  /// use_transform_cache.
+  /// Dedicated transform-prefetch threads warming the CPU band's
+  /// TransformCache ahead of its workers (the Pipelined-CPU reader stage).
+  /// Requires use_transform_cache and CPU workers.
   std::size_t prefetch_threads = 0;
   /// Compute each tile's forward transform once and share it (every backend
   /// except the Fiji-style naive baseline). false is valid only on CPU-only
@@ -106,10 +114,11 @@ struct RowBand {
 };
 
 /// The static split of `layout` over `resources`' GPUs: contiguous
-/// equal-rows bands, one per GPU (gpu_devices clamped to [1, rows]). With
-/// CPU workers and rows to spare, the CPU band is one more equal unit at
-/// the bottom, rows [back().row_end, rows). Work stealing refines the split
-/// at run time; request validation and pool sizing read it too.
+/// equal-rows bands, one per GPU (gpu_devices clamped to [1, rows]), and
+/// none without GPUs. With CPU workers and rows to spare, the CPU band is
+/// one more equal unit at the bottom, rows [back().row_end, rows), or every
+/// row when there is no GPU band. Work stealing refines the split at run
+/// time; request validation and pool sizing read it too.
 std::vector<RowBand> gpu_row_bands(const img::GridLayout& layout,
                                    const ResourceSet& resources);
 

@@ -101,14 +101,18 @@ std::vector<std::string> Recorder::lanes() const {
 
 namespace {
 
-/// Returns the union of [t0, t1] clipped span intervals for one lane,
+bool in_lanes(const Span& span, const std::vector<std::string>& lanes) {
+  return std::find(lanes.begin(), lanes.end(), span.lane) != lanes.end();
+}
+
+/// Returns the union of [t0, t1] clipped span intervals over `lanes`,
 /// merged and sorted.
 std::vector<std::pair<double, double>> merged_intervals(
-    const std::vector<Span>& spans, const std::string& lane, double t0,
-    double t1) {
+    const std::vector<Span>& spans, const std::vector<std::string>& lanes,
+    double t0, double t1) {
   std::vector<std::pair<double, double>> iv;
   for (const Span& s : spans) {
-    if (s.lane != lane) continue;
+    if (!in_lanes(s, lanes)) continue;
     const double a = std::max(s.t0_us, t0);
     const double b = std::min(s.t1_us, t1);
     if (b > a) iv.emplace_back(a, b);
@@ -145,13 +149,18 @@ std::pair<double, double> full_extent(const std::vector<Span>& spans) {
 
 LaneStats Recorder::lane_stats(const std::string& lane, double t0_us,
                                double t1_us) const {
+  return lane_stats(std::vector<std::string>{lane}, t0_us, t1_us);
+}
+
+LaneStats Recorder::lane_stats(const std::vector<std::string>& lanes,
+                               double t0_us, double t1_us) const {
   const std::vector<Span> all = spans();
   if (t1_us <= t0_us) {
     std::tie(t0_us, t1_us) = full_extent(all);
   }
   LaneStats stats;
   stats.interval_us = t1_us - t0_us;
-  const auto merged = merged_intervals(all, lane, t0_us, t1_us);
+  const auto merged = merged_intervals(all, lanes, t0_us, t1_us);
   double cursor = t0_us;
   for (const auto& [a, b] : merged) {
     stats.busy_us += b - a;
@@ -160,7 +169,7 @@ LaneStats Recorder::lane_stats(const std::string& lane, double t0_us,
   }
   stats.largest_gap_us = std::max(stats.largest_gap_us, t1_us - cursor);
   for (const Span& s : all) {
-    if (s.lane != lane) continue;
+    if (!in_lanes(s, lanes)) continue;
     // An instantaneous span (t0 == t1) never strictly overlaps anything, so
     // test it against the closed interval; it still counts as a span even
     // though it contributes no busy time.
@@ -236,7 +245,7 @@ std::string Recorder::ascii_timeline(std::size_t width, double t0_us,
                 t1_us / 1e3, bucket / 1e3);
   out += header;
   for (const auto& lane : lane_names) {
-    const auto merged = merged_intervals(all, lane, t0_us, t1_us);
+    const auto merged = merged_intervals(all, {lane}, t0_us, t1_us);
     std::string row(width, ' ');
     for (std::size_t i = 0; i < width; ++i) {
       const double a = t0_us + bucket * static_cast<double>(i);

@@ -85,8 +85,12 @@ class Recorder {
   /// Lanes present, in first-seen order.
   std::vector<std::string> lanes() const;
 
-  /// Busy/gap statistics for one lane; the interval defaults to the full
-  /// recorded extent when t1_us <= t0_us.
+  /// Busy/gap statistics for a set of lanes taken together: busy time is
+  /// the union of their spans, so overlapping spans count once. The
+  /// interval defaults to the full recorded extent when t1_us <= t0_us.
+  LaneStats lane_stats(const std::vector<std::string>& lanes,
+                       double t0_us = 0.0, double t1_us = -1.0) const;
+  /// The same for one lane.
   LaneStats lane_stats(const std::string& lane, double t0_us = 0.0,
                        double t1_us = -1.0) const;
 

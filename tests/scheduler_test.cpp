@@ -120,6 +120,21 @@ TEST(SchedulerValidation, RejectsBadResourceSets) {
   EXPECT_THROW(HybridScheduler(prefetch_no_cache).run(provider, options),
                InvalidArgument);
 
+  // Prefetch warms the CPU band's cache; a shape without CPU workers has no
+  // CPU band, so its prefetch threads would never run.
+  ResourceSet prefetch_no_cpu;
+  prefetch_no_cpu.cpu_workers = 0;
+  prefetch_no_cpu.gpu_devices = 1;
+  prefetch_no_cpu.prefetch_threads = 1;
+  try {
+    (void)HybridScheduler(prefetch_no_cpu).run(provider, options);
+    ADD_FAILURE() << "prefetch threads without CPU workers accepted";
+  } catch (const InvalidArgument& e) {
+    EXPECT_EQ(std::string(e.what()).rfind("ResourceSet.prefetch_threads:", 0),
+              0u)
+        << e.what();
+  }
+
   ResourceSet bad_sync;
   bad_sync.cpu_workers = 0;
   bad_sync.gpu_devices = 2;
@@ -294,6 +309,26 @@ TEST(HybridScheduling, SharedCacheReplaysCpuBandPairs) {
   EXPECT_EQ(second.ops.forward_ffts, gpu_band_tiles(grid.layout, rs));
   // The CPU band still reads its tiles once each, to digest them.
   EXPECT_EQ(second.ops.tile_reads, hybrid_tiles(grid.layout, rs));
+}
+
+TEST(HybridScheduling, PrefetchWarmsTheCpuBand) {
+  // A hybrid shape's prefetch threads run the Pipelined-CPU reader stage
+  // over the CPU band: they warm the band's cache without adding work.
+  const auto grid = make_grid(5, 3, 37);
+  MemoryTileProvider provider(&grid.tiles, grid.layout);
+  ResourceSet rs = hybrid_set(1);
+  rs.prefetch_threads = 1;
+  hs::trace::Recorder recorder;
+  StitchOptions options = fast_options();
+  options.recorder = &recorder;
+
+  const StitchResult hybrid = stitch(rs, provider, options);
+  EXPECT_TRUE(tables_identical(
+      stitch(Backend::kSimpleCpu, provider, fast_options()).table,
+      hybrid.table));
+  EXPECT_EQ(hybrid.ops.tile_reads, hybrid_tiles(grid.layout, rs));
+  EXPECT_EQ(hybrid.ops.forward_ffts, hybrid_tiles(grid.layout, rs));
+  EXPECT_GT(recorder.lane_stats("cpu.read").span_count, 0u);
 }
 
 TEST(HybridScheduling, StealDisabledKeepsLegacyBehaviorReachable) {

@@ -65,6 +65,21 @@ TEST(LaneStats, OccupancyMergesOverlaps) {
   EXPECT_EQ(stats.span_count, 3u);
 }
 
+TEST(LaneStats, LaneSetUnionCountsOverlapsOnce) {
+  Recorder recorder;
+  recorder.record("gpu.fft", "fft", 0.0, 10.0);
+  recorder.record("gpu.disp", "ncc", 5.0, 15.0);  // overlaps the fft span
+  recorder.record("gpu.disp", "ncc", 22.0, 30.0);
+  recorder.record("cpu", "pad", 0.0, 40.0);  // outside the set
+  const LaneStats stats =
+      recorder.lane_stats(std::vector<std::string>{"gpu.fft", "gpu.disp"});
+  EXPECT_DOUBLE_EQ(stats.interval_us, 40.0);
+  EXPECT_DOUBLE_EQ(stats.busy_us, 23.0);  // [0,15] + [22,30]
+  EXPECT_NEAR(stats.occupancy, 23.0 / 40.0, 1e-12);
+  EXPECT_DOUBLE_EQ(stats.largest_gap_us, 10.0);  // 30..40
+  EXPECT_EQ(stats.span_count, 3u);
+}
+
 TEST(LaneStats, ExplicitWindowClipsSpans) {
   Recorder recorder;
   recorder.record("gpu", "k", 0.0, 100.0);
